@@ -9,6 +9,7 @@ above that. Write then read is bit-identical on every valid file.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -94,14 +95,20 @@ class CaptureHeader:
 
 @dataclass(eq=False)
 class CaptureFile:
-    """Parsed capture: header plus samples shaped (frames, lines, samples)."""
+    """Parsed capture: header plus samples shaped (frames, lines, samples).
+
+    ``samples`` is read-only and held in the file's sample dtype (``uint8``
+    up to 8 bits, else ``<u2``). A read-only array already in that dtype,
+    such as the map :func:`read_capture` returns, is kept as it is; any
+    other array is copied.
+    """
 
     header: CaptureHeader
     samples: np.ndarray
 
     def __post_init__(self) -> None:
         h = self.header
-        arr = np.asarray(self.samples)
+        arr = np.asanyarray(self.samples)
         expected = (h.frames, h.lines_per_frame, h.samples_per_line)
         if arr.shape != expected:
             raise InvalidInputError(
@@ -109,12 +116,17 @@ class CaptureFile:
             )
         if not np.issubdtype(arr.dtype, np.integer):
             raise InvalidInputError("samples must be integers")
-        arr = arr.astype(np.int32, copy=True)
-        if arr.size and (arr.min() < 0 or arr.max() >= (1 << h.bit_depth)):
+        # Scan only the bounds the dtype can break: none for uint8, the
+        # maximum for <u2.
+        limit = 1 << h.bit_depth
+        info = np.iinfo(arr.dtype)
+        if (info.min < 0 and arr.min() < 0) or (info.max >= limit and arr.max() >= limit):
             raise InvalidInputError(
                 f"sample values exceed the {h.bit_depth}-bit code range"
             )
-        arr.flags.writeable = False
+        if arr.flags.writeable or arr.dtype != h.sample_dtype:
+            arr = arr.astype(h.sample_dtype)
+            arr.flags.writeable = False
         self.samples = arr
 
 
@@ -143,7 +155,9 @@ def _serialize_header(header: CaptureHeader) -> bytes:
 def write_capture(capture: CaptureFile, path) -> None:
     """Write a capture to ``path`` in the VBI1 container format."""
     header_bytes = _serialize_header(capture.header)
-    payload = capture.samples.astype(capture.header.sample_dtype).tobytes(order="C")
+    # Copy the payload out before opening ``path``: the samples of a capture
+    # read from ``path`` map that file, and opening it truncates it.
+    payload = capture.samples.tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
@@ -152,19 +166,46 @@ def write_capture(capture: CaptureFile, path) -> None:
 
 
 def read_capture(path) -> CaptureFile:
-    """Parse a VBI1 capture file, validating header/payload consistency."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8 or blob[:4] != MAGIC:
-        raise CaptureFormatError(f"{path}: not a VBI1 capture file")
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + header_len:
-        raise CaptureFormatError(f"{path}: header truncated")
-    try:
-        text = blob[8 : 8 + header_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CaptureFormatError(f"{path}: header is not valid UTF-8") from exc
+    """Parse a VBI1 capture file, validating header/payload consistency.
 
+    Only the header is read. The samples map the payload read-only, so a
+    line is read from the file when it is used, and the capture is valid
+    only while the file is not truncated or rewritten.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != MAGIC:
+            raise CaptureFormatError(f"{path}: not a VBI1 capture file")
+        (header_len,) = struct.unpack("<I", head[4:])
+        if size < 8 + header_len:
+            raise CaptureFormatError(f"{path}: header truncated")
+        try:
+            text = fh.read(header_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CaptureFormatError(f"{path}: header is not valid UTF-8") from exc
+        header = _parse_header(path, text)
+
+        found = size - 8 - header_len
+        if found != header.payload_bytes:
+            raise CaptureFormatError(
+                f"{path}: payload size mismatch: expected {header.payload_bytes} bytes, "
+                f"found {found}"
+            )
+        samples = np.memmap(
+            fh,
+            dtype=header.sample_dtype,
+            mode="r",
+            offset=8 + header_len,
+            shape=(header.frames, header.lines_per_frame, header.samples_per_line),
+        )
+    try:
+        return CaptureFile(header=header, samples=samples)
+    except InvalidInputError as exc:
+        raise CaptureFormatError(f"{path}: {exc}") from exc
+
+
+def _parse_header(path, text: str) -> CaptureHeader:
     fields: dict[str, str] = {}
     # the separator is strictly \n; values may hold any other character
     for raw in text.split("\n"):
@@ -185,7 +226,7 @@ def read_capture(path) -> CaptureFile:
         if version != FORMAT_VERSION:
             raise CaptureFormatError(f"{path}: unknown format_version {version}")
         vbi_text = require("vbi_line_indices")
-        header = CaptureHeader(
+        return CaptureHeader(
             bit_depth=int(require("bit_depth")),
             sample_rate_hz=float(require("sample_rate_hz")),
             samples_per_line=int(require("samples_per_line")),
@@ -197,24 +238,7 @@ def read_capture(path) -> CaptureFile:
             extra=dict(fields),
         )
     except (ValueError, InvalidInputError) as exc:
-        if isinstance(exc, CaptureFormatError):
-            raise
         raise CaptureFormatError(f"{path}: bad header: {exc}") from exc
-
-    payload = blob[8 + header_len :]
-    if len(payload) != header.payload_bytes:
-        raise CaptureFormatError(
-            f"{path}: payload size mismatch: expected {header.payload_bytes} bytes, "
-            f"found {len(payload)}"
-        )
-    samples = np.frombuffer(payload, dtype=header.sample_dtype).reshape(
-        header.frames, header.lines_per_frame, header.samples_per_line
-    )
-    if header.bit_depth > 8 and samples.max(initial=0) >= (1 << header.bit_depth):
-        raise CaptureFormatError(
-            f"{path}: sample values exceed the {header.bit_depth}-bit code range"
-        )
-    return CaptureFile(header=header, samples=samples.astype(np.int32))
 
 
 def extract_vbi_lines(

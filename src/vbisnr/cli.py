@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
 
-from .capture import extract_vbi_lines, read_capture, write_capture
+from .capture import CaptureFile, extract_vbi_lines, read_capture, write_capture
 from .dsp import FilterSpec, line_spectrum
 from .errors import (
     CaptureFormatError,
@@ -29,8 +30,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_NO_MEASUREMENT = 3
-
-MAX_FRAMES = 30
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="measure SNR of a capture")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--frames", type=int, default=MAX_FRAMES,
-                   help=f"frames to accumulate (max {MAX_FRAMES})")
+    p.add_argument("--frames", type=int, default=MeasureConfig.max_frames,
+                   help=f"frames to accumulate (max {MeasureConfig.max_frames})")
     p.add_argument("--filter", choices=("on", "off"), default="off")
     p.add_argument("--cutoff-hz", type=float, default=2.0e6)
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -144,8 +143,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    if args.frames > MAX_FRAMES:
-        raise InvalidInputError(f"--frames may not exceed the {MAX_FRAMES}-frame limit")
+    limit = MeasureConfig.max_frames
+    if args.frames > limit:
+        raise InvalidInputError(f"--frames may not exceed the {limit}-frame limit")
     if args.frames < 1:
         raise InvalidInputError("--frames must be positive")
     filt = FilterSpec(cutoff_hz=args.cutoff_hz) if args.filter == "on" else None
@@ -168,22 +168,42 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
+class _CaptureDirectory(Mapping):
+    """Captures looked up by designation in ``<designation>.vbi`` files.
+
+    A lookup reads the file then and there, and nothing is kept, so a scan
+    holds one capture at a time. It holds no captures between lookups, so
+    iterating it yields none. A file that cannot be read is reported on
+    stderr and looks up as missing.
+    """
+
+    def __init__(self, directory: Path):
+        self.directory = directory
+
+    def __getitem__(self, designation: str) -> CaptureFile:
+        path = self.directory / f"{designation}.vbi"
+        if not path.exists():
+            raise KeyError(designation)
+        try:
+            return read_capture(path)
+        except (CaptureFormatError, OSError) as exc:
+            print(f"warning: skipping {path}: {exc}", file=sys.stderr)
+            raise KeyError(designation) from exc
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+
 def _cmd_scan(args) -> int:
     plan = parse_plan(Path(args.plan).read_text())
-    captures = {}
     directory = Path(args.captures_dir)
     if not directory.is_dir():
         raise FileNotFoundError(f"captures directory not found: {directory}")
-    for entry in plan.entries:
-        path = directory / f"{entry.designation}.vbi"
-        if not path.exists():
-            continue
-        try:
-            captures[entry.designation] = read_capture(path)
-        except (CaptureFormatError, OSError) as exc:
-            print(f"warning: skipping {path}: {exc}", file=sys.stderr)
     config = MeasureConfig(filter=FilterSpec(cutoff_hz=args.filter_cutoff))
-    report = scan(plan, captures, config)
+    report = scan(plan, _CaptureDirectory(directory), config)
     _write_text(render_report(report, args.format), args.out)
     return EXIT_OK
 

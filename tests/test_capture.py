@@ -61,12 +61,41 @@ class TestRoundTrip:
         assert payload[0] == 0xBC and payload[1] == 0x02  # 700 = 0x02BC
         assert read_capture(path).samples[0, 0, 0] == 700
 
+    @pytest.mark.parametrize("bit_depth,value", [(8, 200), (10, 700)])
+    def test_rewrite_in_place_keeps_bytes(self, tmp_path, bit_depth, value):
+        path = tmp_path / "p.vbi"
+        write_capture(small_capture(bit_depth=bit_depth, value=value), path)
+        before = path.read_bytes()
+        write_capture(read_capture(path), path)
+        assert path.read_bytes() == before
+
+    def test_read_samples_are_read_only(self, tmp_path):
+        path = tmp_path / "r.vbi"
+        write_capture(small_capture(), path)
+        samples = read_capture(path).samples
+        assert isinstance(samples, np.memmap) and samples.dtype == np.uint8
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0, 0, 0] = 1
+
 
 class TestFormatErrors:
     def test_not_a_capture(self, tmp_path):
         path = tmp_path / "x.vbi"
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(CaptureFormatError, match="not a VBI1"):
+            read_capture(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "h.vbi"
+        path.write_bytes(b"VBI1" + struct.pack("<I", 40) + b"format_version=1\n")
+        with pytest.raises(CaptureFormatError, match="header truncated"):
+            read_capture(path)
+
+    def test_header_not_utf8(self, tmp_path):
+        path = tmp_path / "u.vbi"
+        header = b"format_version=1\nchannel_label=\xff\n"
+        path.write_bytes(b"VBI1" + struct.pack("<I", len(header)) + header)
+        with pytest.raises(CaptureFormatError, match="not valid UTF-8"):
             read_capture(path)
 
     def test_truncated_payload_names_byte_counts(self, tmp_path):

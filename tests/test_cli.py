@@ -164,6 +164,25 @@ class TestScan:
         assert "no-capture" in out
         assert "skipping" in err
 
+    def test_truncated_capture_skipped_among_good_ones(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.csv"
+        plan_path.write_text(
+            "designation,name,video_carrier_mhz\n"
+            "S02,TVR1,112.25\nS03,TVR2,119.25\nS04,TVR3,126.25\n"
+        )
+        make_captures(tmp_path, ["S02", "S03", "S04"])
+        truncated = tmp_path / "S03.vbi"
+        truncated.write_bytes(truncated.read_bytes()[:-400])  # drop one line
+        assert main(
+            ["scan", "--plan", str(plan_path), "--captures-dir", str(tmp_path),
+             "--format", "csv"]
+        ) == 0
+        out, err = capsys.readouterr()
+        statuses = {row.split(",")[0]: row.split(",")[-1] for row in out.splitlines()[1:]}
+        assert statuses == {"S02": "measured", "S03": "no-capture", "S04": "measured"}
+        assert f"skipping {truncated}" in err
+        assert "expected 4000 bytes, found 3600" in err
+
     def test_bad_plan_is_exit_one(self, tmp_path):
         plan_path = tmp_path / "plan.csv"
         plan_path.write_text("designation,name,video_carrier_mhz\nS02,TVR1,9.0\n")
