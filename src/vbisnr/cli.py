@@ -281,8 +281,8 @@ def _cmd_spectrum(args) -> int:
     )
     spectrum = line_spectrum(record, args.fft_size)
     rows = ["frequency_hz,magnitude_db"]
-    for k, db in enumerate(spectrum.magnitudes_db):
-        rows.append(f"{k * spectrum.bin_hz!r},{float(db)!r}")
+    for f, db in zip(spectrum.frequencies_hz(), spectrum.magnitudes_db):
+        rows.append(f"{float(f)!r},{float(db)!r}")
     _write_text("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 

@@ -8,12 +8,12 @@ Spectra are exported for offline plotting of individual lines.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import signal
 
 from .errors import InvalidInputError
 
@@ -91,6 +91,7 @@ class Spectrum:
         return np.arange(len(self.magnitudes_db)) * self.bin_hz
 
 
+@functools.lru_cache
 def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
     """Design the FIR taps for ``spec`` at the given sample rate.
 
@@ -98,7 +99,9 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
     The length comes from the Kaiser estimate for the requested stopband
     attenuation over the requested transition width; the estimate is
     checked against the realized response at the stopband edge and the
-    filter is lengthened if it falls short.
+    filter is lengthened if it falls short. The taps are read-only and
+    cached per ``(spec, sample_rate_hz)``, so equal arguments return the
+    same array.
     """
     if sample_rate_hz <= 0:
         raise InvalidInputError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
@@ -110,15 +113,12 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
             f"reaches Nyquist ({nyquist} Hz)"
         )
 
-    numtaps, beta = signal.kaiserord(spec.stopband_atten_db, spec.transition_hz / nyquist)
+    numtaps, beta = _kaiser_order(spec.stopband_atten_db, spec.transition_hz / nyquist)
     numtaps |= 1  # linear phase with integer group delay
+    cutoff = (spec.cutoff_hz + spec.transition_hz / 2.0) / nyquist
     for _ in range(16):
-        taps = signal.firwin(
-            numtaps,
-            spec.cutoff_hz + spec.transition_hz / 2.0,
-            window=("kaiser", beta),
-            fs=sample_rate_hz,
-        )
+        m = np.arange(numtaps) - (numtaps - 1) / 2.0
+        taps = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, beta)
         # Enforce exact tap symmetry and unity DC gain.
         taps = 0.5 * (taps + taps[::-1])
         taps = taps / taps.sum()
@@ -127,6 +127,17 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
         numtaps += 2
     taps.flags.writeable = False
     return taps
+
+
+def _kaiser_order(atten_db: float, width: float) -> tuple[int, float]:
+    """Kaiser's (1974) filter length and window beta; ``width`` is a fraction of Nyquist."""
+    if atten_db > 50:
+        beta = 0.1102 * (atten_db - 8.7)
+    elif atten_db > 21:
+        beta = 0.5842 * (atten_db - 21) ** 0.4 + 0.07886 * (atten_db - 21)
+    else:
+        beta = 0.0
+    return math.ceil((atten_db - 7.95) / 2.285 / (math.pi * width) + 1), beta
 
 
 def _response_db(taps: np.ndarray, freq_hz: float, sample_rate_hz: float) -> float:
@@ -159,6 +170,11 @@ def apply_filter(samples, taps) -> np.ndarray:
     return np.convolve(x, t, mode="valid")
 
 
+def _periodic_hann(n: int) -> np.ndarray:
+    """The ``n``-point Hann window of an ``n``-periodic sequence."""
+    return np.hanning(n + 1)[:-1]
+
+
 def line_spectrum(line: "LineRecord", fft_size: int | None = None) -> Spectrum:
     """Hann-windowed, zero-padded magnitude spectrum of a whole line.
 
@@ -178,7 +194,7 @@ def line_spectrum(line: "LineRecord", fft_size: int | None = None) -> Spectrum:
 
     x = np.asarray(line.samples, dtype=np.float64)
     mean = float(x.mean())
-    window = signal.windows.hann(n, sym=False)
+    window = _periodic_hann(n)
     bins = np.fft.rfft((x - mean) * window, n=fft_size)
 
     # Single-sided amplitude normalization: a full-scale sinusoid reads 0 dB.
@@ -186,7 +202,9 @@ def line_spectrum(line: "LineRecord", fft_size: int | None = None) -> Spectrum:
     mags[-1] /= 2.0  # Nyquist bin is not mirrored
     mags[0] = abs(mean)
 
-    full_scale = 219.0 * 2.0 ** (line.bit_depth - 8)
+    from .measure import MeasureConfig  # measure imports this module
+
+    full_scale = MeasureConfig().full_scale_for(line.bit_depth)
     floor = full_scale * 10.0 ** (DB_FLOOR / 20.0)
     db = 20.0 * np.log10(np.maximum(mags, floor) / full_scale)
     db.flags.writeable = False

@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vbisnr import CaptureFile, CaptureHeader, write_capture
+import vbisnr
+from vbisnr import (
+    CaptureFile,
+    CaptureHeader,
+    LineRecord,
+    line_spectrum,
+    read_capture,
+    write_capture,
+)
 from vbisnr.cli import main
 
 from conftest import DATA_DIR
@@ -334,6 +344,12 @@ class TestSpectrum:
         freq = float(rows[peak_row].split(",")[0])
         assert freq == pytest.approx(peak_row * 13.5e6 / 1024)
 
+        capture = read_capture(path)
+        record = LineRecord(samples=capture.samples[0, capture.header.vbi_line_indices[0]])
+        spectrum = line_spectrum(record, 1024)
+        assert [float(r.split(",")[0]) for r in rows] == spectrum.frequencies_hz().tolist()
+        assert [float(r.split(",")[1]) for r in rows] == spectrum.magnitudes_db.tolist()
+
     def test_bad_indices_are_exit_one(self, clean_file):
         assert main(["spectrum", "--in", str(clean_file), "--frame", "99"]) == 1
         assert main(["spectrum", "--in", str(clean_file), "--line", "9"]) == 1
@@ -359,3 +375,16 @@ class TestPlanValidate:
 def test_unknown_flag_is_exit_one(capsys):
     assert main(["measure", "--in", "x", "--bogus"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only oracle; importing it costs over a second per call.
+    src = str(Path(vbisnr.__file__).parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import vbisnr.cli; "
+        "print('scipy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

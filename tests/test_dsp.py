@@ -16,8 +16,15 @@ from vbisnr import (
     line_spectrum,
     noise_gain,
 )
+from vbisnr.dsp import _kaiser_order, _periodic_hann
 
 FS = 13.5e6
+
+
+@pytest.fixture(scope="module")
+def scipy_signal():
+    # scipy is the test-only oracle for the numpy filter design and window.
+    return pytest.importorskip("scipy.signal")
 
 
 def response_db(taps, freq_hz, fs=FS):
@@ -58,6 +65,32 @@ class TestDesign:
         with pytest.raises(InvalidInputError, match="cutoff 6000000.0 Hz"):
             design_lowpass(FilterSpec(cutoff_hz=6.0e6, transition_hz=1.0e6), FS)
 
+    @pytest.mark.parametrize("atten", [20.0, 21.0, 25.0, 40.0, 50.0, 60.0, 80.0])
+    @pytest.mark.parametrize("width", [0.01, 0.5e6 / 6.75e6, 0.2, 0.5])
+    def test_kaiser_order_matches_scipy(self, scipy_signal, atten, width):
+        assert _kaiser_order(atten, width) == scipy_signal.kaiserord(atten, width)
+
+    @pytest.mark.parametrize("atten", [40.0, 60.0, 80.0])
+    @pytest.mark.parametrize("fs", [13.5e6, 27.0e6])
+    def test_taps_match_firwin_design(self, scipy_signal, atten, fs):
+        spec = FilterSpec(stopband_atten_db=atten)
+        stop_edge = spec.cutoff_hz + spec.transition_hz
+        numtaps, beta = scipy_signal.kaiserord(atten, spec.transition_hz / (fs / 2))
+        numtaps |= 1
+        while True:
+            expected = scipy_signal.firwin(
+                numtaps, spec.cutoff_hz + spec.transition_hz / 2,
+                window=("kaiser", beta), fs=fs,
+            )
+            expected = 0.5 * (expected + expected[::-1])
+            expected = expected / expected.sum()
+            if response_db(expected, stop_edge, fs) <= -atten:
+                break
+            numtaps += 2
+        taps = design_lowpass(spec, fs)
+        assert len(taps) == len(expected)
+        assert np.max(np.abs(taps - expected)) <= 1e-15
+
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
             FilterSpec(stopband_atten_db=10.0)
@@ -65,6 +98,32 @@ class TestDesign:
             FilterSpec(cutoff_hz=-1.0)
         with pytest.raises(InvalidInputError):
             FilterSpec(kind="butterworth")
+
+
+class TestDesignCache:
+    def test_equal_arguments_share_one_read_only_array(self):
+        first = design_lowpass(FilterSpec(), FS)
+        assert design_lowpass(FilterSpec(), FS) is first
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    def test_different_specs_or_rates_get_their_own_taps(self):
+        base = design_lowpass(FilterSpec(), FS)
+        others = [
+            design_lowpass(FilterSpec(stopband_atten_db=40.0), FS),
+            design_lowpass(FilterSpec(cutoff_hz=1.5e6), FS),
+            design_lowpass(FilterSpec(), 2 * FS),
+        ]
+        for taps in others:
+            assert taps is not base
+            assert len(taps) != len(base) or not np.array_equal(taps, base)
+
+    def test_errors_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="reaches Nyquist"):
+                design_lowpass(FilterSpec(cutoff_hz=6.0e6, transition_hz=1.0e6), FS)
+            with pytest.raises(InvalidInputError, match="must be positive"):
+                design_lowpass(FilterSpec(), 0.0)
 
 
 class TestApplyFilter:
@@ -115,6 +174,11 @@ def constant_line(value=60, n=864):
 
 
 class TestLineSpectrum:
+    @pytest.mark.parametrize("n", [7, 720, 864, 1000])
+    def test_window_is_periodic_hann(self, scipy_signal, n):
+        expected = scipy_signal.windows.hann(n, sym=False)
+        assert np.max(np.abs(_periodic_hann(n) - expected)) <= 1e-15
+
     def test_constant_line_is_pure_dc(self):
         spectrum = line_spectrum(constant_line())
         db = spectrum.magnitudes_db
@@ -138,8 +202,7 @@ class TestLineSpectrum:
         assert int(np.argmax(spectrum.magnitudes_db[1:])) + 1 == expected_bin
 
         # independent oracle: direct DFT magnitude at the peak bin
-        from scipy.signal import windows
-
+        windows = pytest.importorskip("scipy.signal").windows
         mean = x.mean()
         w = windows.hann(864, sym=False)
         y = (x - mean) * w
