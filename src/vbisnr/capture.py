@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CaptureFormatError, InvalidInputError, MeasurementImpossibleError
-from .measure import LineRecord, default_window
+from .measure import LineRecord, _check_code_range, default_window
 
 MAGIC = b"VBI1"
 FORMAT_VERSION = 1
@@ -116,14 +116,7 @@ class CaptureFile:
             )
         if not np.issubdtype(arr.dtype, np.integer):
             raise InvalidInputError("samples must be integers")
-        # Scan only the bounds the dtype can break: none for uint8, the
-        # maximum for <u2.
-        limit = 1 << h.bit_depth
-        info = np.iinfo(arr.dtype)
-        if (info.min < 0 and arr.min() < 0) or (info.max >= limit and arr.max() >= limit):
-            raise InvalidInputError(
-                f"sample values exceed the {h.bit_depth}-bit code range"
-            )
+        _check_code_range(arr, h.bit_depth)
         if arr.flags.writeable or arr.dtype != h.sample_dtype:
             arr = arr.astype(h.sample_dtype)
             arr.flags.writeable = False

@@ -8,8 +8,9 @@ SNR in dB against the nominal full-scale video amplitude, the statistical
 error margin of the estimate, multi-frame accumulation, and PSNR between
 pixel planes.
 
-Sums are computed with ``math.fsum`` so results are exact to the final
-rounding and therefore independent of sample order; pooling frames in any
+Raw statistics use exact integer moments, so one division and one square
+root are their only roundings; filtered statistics combine per-line sums of
+squared deviations with ``math.fsum``. Either way, pooling frames in any
 order yields bit-identical measurements.
 """
 
@@ -42,12 +43,23 @@ def default_window(n_samples: int) -> tuple[int, int]:
     return (start, end)
 
 
+def _check_code_range(samples: np.ndarray, bit_depth: int) -> None:
+    # Scan only the bounds the dtype can break: none for uint8, the maximum
+    # for <u2. Both callers reject an empty array before calling this.
+    limit = 1 << bit_depth
+    info = np.iinfo(samples.dtype)
+    if (info.min < 0 and samples.min() < 0) or (info.max >= limit and samples.max() >= limit):
+        raise InvalidInputError(f"sample values exceed the {bit_depth}-bit code range")
+
+
 @dataclass(frozen=True)
 class LineRecord:
     """One digitized video line plus the region to measure.
 
     ``window`` is a half-open ``(start, end)`` sample range; it defaults to
-    :func:`default_window` of the line length. Samples are ADC codes.
+    :func:`default_window` of the line length. Samples are ADC codes in
+    their input integer dtype, never widened to int32; a read-only input
+    (such as a row of a mapped capture) is kept, a writable one is copied.
     """
 
     samples: np.ndarray
@@ -69,15 +81,6 @@ class LineRecord:
             raise InvalidInputError("sample_rate_hz must be positive")
         if self.line_index < 0 or self.frame_index < 0:
             raise InvalidInputError("line_index and frame_index must be non-negative")
-        arr = arr.astype(np.int32, copy=True)
-        if arr.size and (arr.min() < 0 or arr.max() >= (1 << self.bit_depth)):
-            raise InvalidInputError(
-                f"line {self.line_index} frame {self.frame_index}: sample values "
-                f"must lie in [0, {(1 << self.bit_depth) - 1}]"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-
         window = self.window if self.window is not None else default_window(arr.size)
         start, end = int(window[0]), int(window[1])
         if not (0 <= start < end <= arr.size):
@@ -90,6 +93,11 @@ class LineRecord:
                 f"line {self.line_index} frame {self.frame_index}: window "
                 f"[{start}, {end}) is shorter than 2 samples"
             )
+        _check_code_range(arr, self.bit_depth)
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.flags.writeable = False
+        object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "window", (start, end))
 
     def window_samples(self) -> np.ndarray:
@@ -197,32 +205,23 @@ class PsnrResult:
     saturated: bool = False
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    # fsum is exactly rounded, hence independent of summation order.
-    return math.fsum(values.tolist())
-
-
-def _exact_mean(values: np.ndarray) -> float:
-    return _exact_sum(values) / values.size
+def _squared_deviation(values: np.ndarray, v_ref: float) -> float:
+    """sum((x - v_ref)^2) over one line's samples."""
+    return float(np.sum(np.square(values - v_ref)))
 
 
 def estimate_reference_level(line: LineRecord) -> float:
     """Black level of a blanked line: arithmetic mean over the window."""
-    return _exact_mean(line.window_samples().astype(np.float64))
+    values = line.window_samples()
+    return int(np.sum(values, dtype=np.int64)) / values.size
 
 
 def noise_rms(line: LineRecord, v_ref: float) -> float:
     """Noise RMS over the window: sqrt(sum((x - v_ref)^2) / (N - 1))."""
     if not math.isfinite(v_ref):
         raise InvalidInputError(f"v_ref must be finite, got {v_ref}")
-    return _deviation_rms(line.window_samples().astype(np.float64), v_ref)
-
-
-def _deviation_rms(values: np.ndarray, v_ref: float) -> float:
-    n = values.size
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 samples for noise RMS, got {n}")
-    return math.sqrt(_exact_sum(np.square(values - v_ref)) / (n - 1))
+    values = line.window_samples()
+    return math.sqrt(_squared_deviation(values, v_ref) / (values.size - 1))
 
 
 def snr_db(v_n: float, config: MeasureConfig, bit_depth: int = 8) -> tuple[float, bool]:
@@ -296,28 +295,31 @@ def accumulate(
             f"{frames_used} frames exceed the {config.max_frames}-frame limit"
         )
 
-    windows = [line.window_samples().astype(np.float64) for line in lines]
-    pooled_raw = np.concatenate(windows)
-    v_ref = _exact_mean(pooled_raw)
+    windows = [line.window_samples() for line in lines]
+    pooled = np.concatenate(windows, dtype=np.int64)
+    n = pooled.size
+    total = int(pooled.sum())
+    v_ref = total / n
 
     if config.filter is not None:
         taps = dsp.design_lowpass(config.filter, sample_rate_hz)
-        gain = dsp.noise_gain(taps)
         try:
-            population = np.concatenate([dsp.apply_filter(w, taps) for w in windows])
+            filtered = [dsp.apply_filter(w, taps) for w in windows]
         except InvalidInputError as exc:
             raise MeasurementImpossibleError(
                 f"measurement window too short for the {len(taps)}-tap filter: {exc}"
             ) from exc
+        n = sum(y.size for y in filtered)
+        # fsum over per-line sums gives the same bits in any line order.
+        ss = math.fsum(_squared_deviation(y, v_ref) for y in filtered)
+        # Filtering narrows the noise bandwidth; dividing by the filter's white
+        # noise gain refers the in-band RMS back to an equivalent full-band
+        # level, keeping filtered and unfiltered readings comparable.
+        v_n = math.sqrt(ss / (n - 1)) / dsp.noise_gain(taps)
     else:
-        gain = 1.0
-        population = pooled_raw
-
-    n = int(population.size)
-    # Filtering narrows the noise bandwidth; dividing by the filter's white
-    # noise gain refers the in-band RMS back to an equivalent full-band
-    # level, keeping filtered and unfiltered readings comparable.
-    v_n = _deviation_rms(population, v_ref) / gain
+        # n*sum(x^2) - sum(x)^2 is exact in Python ints.
+        numerator = n * int(pooled @ pooled) - total * total
+        v_n = math.sqrt(numerator / (n * (n - 1)))
     snr, saturated = snr_db(v_n, config, bit_depth)
     return Measurement(
         v_ref=v_ref,

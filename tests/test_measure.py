@@ -3,30 +3,73 @@
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 import pytest
 
 from vbisnr import (
+    CaptureFile,
+    CaptureHeader,
     InvalidInputError,
     LineRecord,
     MeasureConfig,
+    SynthConfig,
     accumulate,
     default_window,
     error_margin,
     estimate_reference_level,
+    extract_vbi_lines,
     measure_line,
     noise_rms,
     psnr,
+    read_capture,
     snr_db,
+    synthesize,
+    write_capture,
 )
 from vbisnr.dsp import FilterSpec
 
-from conftest import SIGMA
+from conftest import SIGMA, SOUND_CARRIER_HZ
 
 
 def line_of(values, window=None, **kw):
     return LineRecord(samples=np.asarray(values, dtype=np.int32), window=window, **kw)
+
+
+class TestLineRecord:
+    @pytest.mark.parametrize(
+        "dtype,bad,bit_depth",
+        [(np.int32, -1, 8), (np.int32, 256, 8), (np.int32, 512, 9), ("<u2", 1024, 10)],
+    )
+    def test_out_of_range_code_rejected(self, dtype, bad, bit_depth):
+        # The bad code sits outside the default window: the whole line is checked.
+        samples = np.zeros((1, 2, 64), dtype=dtype)
+        samples[0, 1, 0] = bad
+        with pytest.raises(InvalidInputError, match=f"exceed the {bit_depth}-bit code range"):
+            LineRecord(samples=samples[0, 1], bit_depth=bit_depth)
+        header = CaptureHeader(
+            samples_per_line=64, lines_per_frame=2, frames=1, bit_depth=bit_depth
+        )
+        with pytest.raises(InvalidInputError, match=f"exceed the {bit_depth}-bit code range"):
+            CaptureFile(header=header, samples=samples)
+
+    def test_mapped_line_is_a_read_only_view(self, tmp_path, clean_capture):
+        path = tmp_path / "c.vbi"
+        write_capture(clean_capture, path)
+        capture = read_capture(path)
+        line = extract_vbi_lines(capture)[0]
+        assert not line.samples.flags.writeable
+        assert line.samples.dtype == np.uint8
+        assert np.shares_memory(line.samples, capture.samples)
+
+    def test_writable_input_is_copied(self):
+        source = np.full(64, 60, dtype=np.int32)
+        line = LineRecord(samples=source)
+        source[:] = 0
+        assert not line.samples.flags.writeable
+        assert line.samples.dtype == np.int32
+        assert np.all(line.samples == 60)
 
 
 class TestReferenceLevel:
@@ -189,6 +232,19 @@ class TestAccumulate:
             four = accumulate(frames)
             ratio = four.error_margin / one.error_margin
             assert abs(ratio - 0.5) < 0.1
+
+    def test_raw_statistics_are_exactly_rounded(self):
+        # statistics.variance works in exact fractions and rounds once, so
+        # its square root and fmean are the exactly rounded oracle.
+        for seed in range(60):
+            config = SynthConfig(
+                noise_sigma=SIGMA, seed=seed, interferers=((SOUND_CARRIER_HZ, 10.0, 0.0),)
+            )
+            lines = extract_vbi_lines(synthesize(config))
+            samples = np.concatenate([line.window_samples() for line in lines]).tolist()
+            m = accumulate(lines)
+            assert m.v_n == math.sqrt(statistics.variance(samples)), seed
+            assert m.v_ref == statistics.fmean(samples), seed
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError, match="no lines"):
