@@ -114,7 +114,7 @@ class CaptureFile:
             raise InvalidInputError(
                 f"payload shape {arr.shape} does not match header {expected}"
             )
-        if not np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind not in "iu":
             raise InvalidInputError("samples must be integers")
         _check_code_range(arr, h.bit_depth)
         if arr.flags.writeable or arr.dtype != h.sample_dtype:

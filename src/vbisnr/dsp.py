@@ -3,7 +3,10 @@
 The low-pass filter implements the "filtered" measurement mode: a
 linear-phase windowed-sinc FIR whose group delay is removed by trimming,
 so the filtered sample population stays free of edge padding artifacts.
-Spectra are exported for offline plotting of individual lines.
+It is applied by FFT convolution, row by row along the last axis, so a
+block of equally long lines is filtered in one pass and each row's output
+depends only on that row. Spectra are exported for offline plotting of
+individual lines.
 """
 
 from __future__ import annotations
@@ -151,23 +154,58 @@ def noise_gain(taps: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(taps))))
 
 
-def apply_filter(samples, taps) -> np.ndarray:
-    """Filter ``samples``, returning only the fully-supported region.
+@functools.lru_cache
+def _fft_size(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c not less than ``n``: a fast real FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
-    The output is the valid convolution: (len(taps) - 1) / 2 samples are
-    trimmed from each end, which removes the symmetric group delay and
-    avoids injecting padded values. Output length is
-    ``len(samples) - len(taps) + 1``.
+
+@functools.lru_cache
+def _taps_spectrum(taps: bytes, size: int) -> np.ndarray:
+    # Keyed by the taps' bytes: a short call (one or two lines) would
+    # otherwise spend a large share of its time transforming the taps.
+    spectrum = np.fft.rfft(np.frombuffer(taps), size)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def apply_filter(samples, taps) -> np.ndarray:
+    """Filter ``samples`` along the last axis, keeping the fully-supported region.
+
+    ``samples`` is one line (1-D) or a block of equally long lines (2-D,
+    one per row). The output is the valid convolution: (len(taps) - 1) / 2
+    samples are trimmed from each end, which removes the symmetric group
+    delay and avoids injecting padded values. Output rows are
+    ``n - len(taps) + 1`` long for ``n``-sample input rows.
+
+    The convolution runs by FFT, ``irfft(rfft(x) * rfft(taps))`` at the
+    smallest 2^a * 3^b * 5^c length not below ``n``. That length is at least
+    ``n``, so the circular wrap only reaches the trimmed outputs. Each row
+    is transformed on its own: a row gives the same bits alone as in any
+    block and at any position.
     """
     x = np.asarray(samples, dtype=np.float64)
     t = np.asarray(taps, dtype=np.float64)
-    if x.ndim != 1 or t.ndim != 1:
-        raise InvalidInputError("apply_filter expects one-dimensional inputs")
-    if len(x) <= len(t):
+    if x.ndim not in (1, 2) or t.ndim != 1 or t.size == 0:
         raise InvalidInputError(
-            f"input of {len(x)} samples is not longer than the {len(t)}-tap filter"
+            "apply_filter expects one- or two-dimensional samples and one-dimensional taps"
         )
-    return np.convolve(x, t, mode="valid")
+    n = x.shape[-1]
+    if n <= t.size:
+        raise InvalidInputError(
+            f"input of {n} samples is not longer than the {t.size}-tap filter"
+        )
+    size = _fft_size(n)
+    spectrum = np.fft.rfft(x, size)
+    spectrum *= _taps_spectrum(t.tobytes(), size)
+    return np.fft.irfft(spectrum, size)[..., t.size - 1 : n]
 
 
 def _periodic_hann(n: int) -> np.ndarray:

@@ -9,9 +9,10 @@ error margin of the estimate, multi-frame accumulation, and PSNR between
 pixel planes.
 
 Raw statistics use exact integer moments, so one division and one square
-root are their only roundings; filtered statistics combine per-line sums of
-squared deviations with ``math.fsum``. Either way, pooling frames in any
-order yields bit-identical measurements.
+root are their only roundings. Filtered statistics filter equally long
+windows as one block, row by row, and combine per-line sums of squared
+deviations with ``math.fsum``. Either way, pooling frames in any order
+yields bit-identical measurements.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ def default_window(n_samples: int) -> tuple[int, int]:
 
 def _check_code_range(samples: np.ndarray, bit_depth: int) -> None:
     # Scan only the bounds the dtype can break: none for uint8, the maximum
-    # for <u2. Both callers reject an empty array before calling this.
-    limit = 1 << bit_depth
-    info = np.iinfo(samples.dtype)
-    if (info.min < 0 and samples.min() < 0) or (info.max >= limit and samples.max() >= limit):
+    # for <u2. Both callers reject an empty or non-integer array first.
+    signed = samples.dtype.kind == "i"
+    value_bits = 8 * samples.dtype.itemsize - signed
+    if (signed and samples.min() < 0) or (
+        value_bits > bit_depth and samples.max() >= 1 << bit_depth
+    ):
         raise InvalidInputError(f"sample values exceed the {bit_depth}-bit code range")
 
 
@@ -73,7 +76,7 @@ class LineRecord:
         arr = np.asarray(self.samples)
         if arr.ndim != 1:
             raise InvalidInputError("samples must be one-dimensional")
-        if not np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind not in "iu":
             raise InvalidInputError("samples must be integer ADC codes")
         if not 8 <= self.bit_depth <= 10:
             raise InvalidInputError(f"bit_depth must be 8..10, got {self.bit_depth}")
@@ -205,9 +208,9 @@ class PsnrResult:
     saturated: bool = False
 
 
-def _squared_deviation(values: np.ndarray, v_ref: float) -> float:
-    """sum((x - v_ref)^2) over one line's samples."""
-    return float(np.sum(np.square(values - v_ref)))
+def _squared_deviation(values: np.ndarray, v_ref: float) -> np.ndarray:
+    """sum((x - v_ref)^2) over the last axis: per line of a block."""
+    return np.sum(np.square(values - v_ref), axis=-1)
 
 
 def estimate_reference_level(line: LineRecord) -> float:
@@ -221,7 +224,7 @@ def noise_rms(line: LineRecord, v_ref: float) -> float:
     if not math.isfinite(v_ref):
         raise InvalidInputError(f"v_ref must be finite, got {v_ref}")
     values = line.window_samples()
-    return math.sqrt(_squared_deviation(values, v_ref) / (values.size - 1))
+    return math.sqrt(float(_squared_deviation(values, v_ref)) / (values.size - 1))
 
 
 def snr_db(v_n: float, config: MeasureConfig, bit_depth: int = 8) -> tuple[float, bool]:
@@ -303,15 +306,25 @@ def accumulate(
 
     if config.filter is not None:
         taps = dsp.design_lowpass(config.filter, sample_rate_hz)
-        try:
-            filtered = [dsp.apply_filter(w, taps) for w in windows]
-        except InvalidInputError as exc:
-            raise MeasurementImpossibleError(
-                f"measurement window too short for the {len(taps)}-tap filter: {exc}"
-            ) from exc
-        n = sum(y.size for y in filtered)
-        # fsum over per-line sums gives the same bits in any line order.
-        ss = math.fsum(_squared_deviation(y, v_ref) for y in filtered)
+        blocks: dict[int, list[np.ndarray]] = {}
+        for w in windows:
+            blocks.setdefault(w.size, []).append(w)
+        n = 0
+        line_sums = []
+        # Shortest first, so a too-short window is reported the same way in
+        # any line order.
+        for size in sorted(blocks):
+            try:
+                y = dsp.apply_filter(np.stack(blocks[size]), taps)
+            except InvalidInputError as exc:
+                raise MeasurementImpossibleError(
+                    f"measurement window too short for the {len(taps)}-tap filter: {exc}"
+                ) from exc
+            n += y.size
+            line_sums.extend(_squared_deviation(y, v_ref).tolist())
+        # Each line's sum depends only on that line, and fsum over them gives
+        # the same bits in any line order.
+        ss = math.fsum(line_sums)
         # Filtering narrows the noise bandwidth; dividing by the filter's white
         # noise gain refers the in-band RMS back to an equivalent full-band
         # level, keeping filtered and unfiltered readings comparable.

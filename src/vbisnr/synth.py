@@ -8,7 +8,7 @@ plus optional interfering sinusoids, quantized to the code range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,11 +62,22 @@ class SynthConfig:
                 raise InvalidInputError(f"bad interferer {spec}")
 
 
-def _quantize(x: np.ndarray, max_code: int) -> tuple[np.ndarray, int]:
-    # Round half away from zero, then clip; report how many samples clipped.
-    q = np.copysign(np.floor(np.abs(x) + 0.5), x)
+# Frames are drawn and quantized in blocks of at least this many samples,
+# which bounds the float temporaries without splitting a small capture.
+_BLOCK_SAMPLES = 1 << 20
+
+
+def _quantize(x: np.ndarray, max_code: int, out: np.ndarray) -> int:
+    # Round half away from zero, then clip into ``out``; return how many
+    # samples clipped.
+    q = np.abs(x)
+    q += 0.5
+    np.floor(q, out=q)
+    np.copysign(q, x, out=q)
     clipped = int(np.count_nonzero((q < 0) | (q > max_code)))
-    return np.clip(q, 0, max_code).astype(np.int32), clipped
+    np.clip(q, 0, max_code, out=q)
+    out[...] = q
+    return clipped
 
 
 def synthesize(config: SynthConfig) -> CaptureFile:
@@ -89,14 +100,32 @@ def synthesize(config: SynthConfig) -> CaptureFile:
             2.0 * np.pi * 4.43e6 * t[tip_len:sync_len]
         )
 
-    shape = (config.frames, config.lines_per_frame, spl)
-    if config.noise_sigma > 0:
-        rng = np.random.Generator(np.random.PCG64(config.seed))
-        signal = base + rng.normal(0.0, config.noise_sigma, size=shape)
-    else:
-        signal = np.broadcast_to(base, shape).copy()
-
-    samples, clip_count = _quantize(signal, max_code)
+    header = CaptureHeader(
+        samples_per_line=spl,
+        lines_per_frame=config.lines_per_frame,
+        frames=config.frames,
+        vbi_line_indices=tuple(range(config.lines_per_frame)),
+        bit_depth=config.bit_depth,
+        sample_rate_hz=config.sample_rate_hz,
+        channel_label=config.channel_label,
+    )
+    samples = np.empty(
+        (config.frames, config.lines_per_frame, spl), dtype=header.sample_dtype
+    )
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    block_frames = -(-_BLOCK_SAMPLES // (config.lines_per_frame * spl))
+    clip_count = 0
+    # The generator fills its output in order, so drawing one block of
+    # frames after another yields the values of a single whole-capture draw.
+    for first in range(0, config.frames, block_frames):
+        out = samples[first : first + block_frames]
+        if config.noise_sigma > 0:
+            block = rng.normal(0.0, config.noise_sigma, size=out.shape)
+            block += base
+        else:
+            block = np.broadcast_to(base, out.shape)
+        clip_count += _quantize(block, max_code, out)
+    samples.flags.writeable = False
     total = samples.size
 
     extra = {
@@ -113,15 +142,5 @@ def synthesize(config: SynthConfig) -> CaptureFile:
         extra["clip_warning"] = (
             f"{clip_count} of {total} samples clipped; reduce noise_sigma or amplitudes"
         )
-
-    header = CaptureHeader(
-        samples_per_line=spl,
-        lines_per_frame=config.lines_per_frame,
-        frames=config.frames,
-        vbi_line_indices=tuple(range(config.lines_per_frame)),
-        bit_depth=config.bit_depth,
-        sample_rate_hz=config.sample_rate_hz,
-        channel_label=config.channel_label,
-        extra=extra,
-    )
+    header = replace(header, extra=extra)
     return CaptureFile(header=header, samples=samples)

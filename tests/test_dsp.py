@@ -16,7 +16,7 @@ from vbisnr import (
     line_spectrum,
     noise_gain,
 )
-from vbisnr.dsp import _kaiser_order, _periodic_hann
+from vbisnr.dsp import _fft_size, _kaiser_order, _periodic_hann
 
 FS = 13.5e6
 
@@ -161,6 +161,48 @@ class TestApplyFilter:
         taps = design_lowpass(FilterSpec(), FS)
         with pytest.raises(InvalidInputError, match="not longer"):
             apply_filter(np.zeros(len(taps)), taps)
+
+    @pytest.mark.parametrize("atten", [40.0, 60.0, 80.0])
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    def test_matches_direct_convolution(self, atten, bit_depth):
+        # np.convolve computes the valid region directly: the oracle.
+        taps = design_lowpass(FilterSpec(stopband_atten_db=atten), FS)
+        rng = np.random.Generator(np.random.PCG64(bit_depth))
+        for n in (len(taps) + 1, 211, 1009, 743):
+            x = rng.integers(0, 1 << bit_depth, n).astype(np.uint16)
+            out = apply_filter(x, taps)
+            expected = np.convolve(x.astype(np.float64), taps, mode="valid")
+            assert out.shape == expected.shape
+            assert np.max(np.abs(out - expected)) <= 1e-12, n
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 60])
+    def test_rows_are_filtered_independently(self, rows):
+        taps = design_lowpass(FilterSpec(), FS)
+        rng = np.random.Generator(np.random.PCG64(rows))
+        block = rng.integers(0, 256, (rows, 743)).astype(np.uint8)
+        out = apply_filter(block, taps)
+        assert out.shape == (rows, 743 - len(taps) + 1)
+        for i in range(rows):
+            assert np.array_equal(out[i], apply_filter(block[i], taps)), i
+        order = rng.permutation(rows)
+        assert np.array_equal(apply_filter(block[order], taps), out[order])
+
+    def test_fft_size_matches_scipy(self):
+        next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+        for n in range(2, 5001):
+            assert _fft_size(n) == next_fast_len(n, real=True), n
+
+    def test_bad_shapes_rejected(self):
+        taps = design_lowpass(FilterSpec(), FS)
+        for samples, t in (
+            (np.zeros((2, 2, 500)), taps),
+            (np.zeros(500), np.stack([taps, taps])),
+            (np.zeros(500), np.zeros(0)),
+        ):
+            with pytest.raises(InvalidInputError, match="expects"):
+                apply_filter(samples, t)
+        with pytest.raises(InvalidInputError, match="not longer"):
+            apply_filter(np.zeros((3, len(taps))), taps)
 
     def test_noise_gain_matches_definition(self):
         taps = design_lowpass(FilterSpec(), FS)

@@ -14,13 +14,17 @@ from vbisnr import (
     InvalidInputError,
     LineRecord,
     MeasureConfig,
+    MeasurementImpossibleError,
     SynthConfig,
     accumulate,
+    apply_filter,
     default_window,
+    design_lowpass,
     error_margin,
     estimate_reference_level,
     extract_vbi_lines,
     measure_line,
+    noise_gain,
     noise_rms,
     psnr,
     read_capture,
@@ -52,6 +56,15 @@ class TestLineRecord:
             samples_per_line=64, lines_per_frame=2, frames=1, bit_depth=bit_depth
         )
         with pytest.raises(InvalidInputError, match=f"exceed the {bit_depth}-bit code range"):
+            CaptureFile(header=header, samples=samples)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.float64])
+    def test_non_integer_samples_rejected(self, dtype):
+        samples = np.zeros((1, 2, 64), dtype=dtype)
+        with pytest.raises(InvalidInputError, match="samples must be integer ADC codes"):
+            LineRecord(samples=samples[0, 1])
+        header = CaptureHeader(samples_per_line=64, lines_per_frame=2, frames=1)
+        with pytest.raises(InvalidInputError, match="samples must be integers"):
             CaptureFile(header=header, samples=samples)
 
     def test_mapped_line_is_a_read_only_view(self, tmp_path, clean_capture):
@@ -245,6 +258,39 @@ class TestAccumulate:
             m = accumulate(lines)
             assert m.v_n == math.sqrt(statistics.variance(samples)), seed
             assert m.v_ref == statistics.fmean(samples), seed
+
+    def test_filtered_mixed_window_lengths(self, interferer_capture):
+        # Each line is filtered on its own and its sum of squares taken
+        # alone, so the per-line 1-D path is a bit-exact oracle.
+        config = MeasureConfig(filter=FilterSpec())
+        taps = design_lowpass(config.filter, 13.5e6)
+        windows = [(104, 847), (104, 700), (300, 847), (104, 847), (250, 600), (104, 700)]
+        lines = [
+            LineRecord(samples=line.samples, frame_index=line.frame_index, window=window)
+            for line, window in zip(extract_vbi_lines(interferer_capture, 3), windows)
+        ]
+        m = accumulate(lines, config)
+        v_ref = statistics.fmean(
+            np.concatenate([line.window_samples() for line in lines]).tolist()
+        )
+        filtered = [apply_filter(line.window_samples(), taps) for line in lines]
+        n = sum(y.size for y in filtered)
+        ss = math.fsum(float(np.sum(np.square(y - v_ref))) for y in filtered)
+        assert m.v_ref == v_ref
+        assert m.n_samples == n == sum(e - s - len(taps) + 1 for s, e in windows)
+        assert m.v_n == math.sqrt(ss / (n - 1)) / noise_gain(taps)
+        assert accumulate(lines[::-1], config) == m
+
+    def test_filtered_short_window_reported_in_any_order(self):
+        config = MeasureConfig(filter=FilterSpec())
+        lines = [
+            line_of([60] * 864, frame_index=0),
+            line_of([60] * 864, frame_index=1, window=(0, 80)),
+            line_of([60] * 864, frame_index=2, window=(0, 60)),
+        ]
+        for order in (lines, lines[::-1]):
+            with pytest.raises(MeasurementImpossibleError, match="input of 60 samples"):
+                accumulate(order, config)
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError, match="no lines"):

@@ -7,7 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from vbisnr import InvalidInputError, SynthConfig, extract_vbi_lines, measure_line, synthesize
+from vbisnr import (
+    InvalidInputError,
+    SynthConfig,
+    default_window,
+    extract_vbi_lines,
+    measure_line,
+    synthesize,
+)
 
 from conftest import SIGMA
 
@@ -48,6 +55,46 @@ def test_identical_configs_are_bit_identical():
     b = synthesize(config)
     assert np.array_equal(a.samples, b.samples)
     assert a.header == b.header
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(noise_sigma=SIGMA, seed=3, frames=5, lines_per_frame=625, sync=True,
+                    interferers=((5.5e6, 10.0, 0.3),)),
+        SynthConfig(noise_sigma=40.0, seed=4, frames=3, lines_per_frame=625, bit_depth=10,
+                    black_level=1000.0),
+        SynthConfig(noise_sigma=0.0, frames=3, lines_per_frame=625,
+                    interferers=((5.5e6, 80.0, 0.0),)),
+    ],
+    ids=["sync-8bit", "clipping-10bit", "noiseless"],
+)
+def test_blocked_generation_matches_one_whole_capture_draw(config):
+    # These captures span several generation blocks; the reference draws,
+    # rounds and clips the whole capture at once.
+    spl = config.samples_per_line
+    t = np.arange(spl) / config.sample_rate_hz
+    base = np.full(spl, config.black_level)
+    for freq, amp, phase in config.interferers:
+        base += amp * np.sin(2.0 * np.pi * freq * t + phase)
+    if config.sync:
+        sync_len = default_window(spl)[0]
+        tip_len = 2 * sync_len // 3
+        base[:tip_len] = config.black_level / 4.0
+        base[tip_len:sync_len] = config.black_level + (config.black_level / 3.0) * np.sin(
+            2.0 * np.pi * 4.43e6 * t[tip_len:sync_len]
+        )
+    shape = (config.frames, config.lines_per_frame, spl)
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    raw = base + (rng.normal(0.0, config.noise_sigma, size=shape) if config.noise_sigma else 0.0)
+    rounded = np.broadcast_to(np.copysign(np.floor(np.abs(raw) + 0.5), raw), shape)
+    max_code = (1 << config.bit_depth) - 1
+    cap = synthesize(config)
+    assert np.array_equal(cap.samples, np.clip(rounded, 0, max_code))
+    clipped = int(np.count_nonzero((rounded < 0) | (rounded > max_code)))
+    assert cap.header.extra["clip_count"] == str(clipped)
+    assert cap.samples.dtype == cap.header.sample_dtype
+    assert not cap.samples.flags.writeable
 
 
 def test_different_seeds_differ():
