@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CaptureFormatError, InvalidInputError, MeasurementImpossibleError
-from .measure import LineRecord, _check_code_range, default_window
+from .measure import LineRecord, _as_int, _check_code_range, default_window
 
 MAGIC = b"VBI1"
 FORMAT_VERSION = 1
@@ -97,10 +97,10 @@ class CaptureHeader:
 class CaptureFile:
     """Parsed capture: header plus samples shaped (frames, lines, samples).
 
-    ``samples`` is read-only and held in the file's sample dtype (``uint8``
-    up to 8 bits, else ``<u2``). A read-only array already in that dtype,
-    such as the map :func:`read_capture` returns, is kept as it is; any
-    other array is copied.
+    ``samples`` is a plain read-only ndarray in the file's sample dtype
+    (``uint8`` up to 8 bits, else ``<u2``). A read-only array already in
+    that dtype, such as the map :func:`read_capture` makes, is viewed, not
+    copied; any other array is copied.
     """
 
     header: CaptureHeader
@@ -108,7 +108,7 @@ class CaptureFile:
 
     def __post_init__(self) -> None:
         h = self.header
-        arr = np.asanyarray(self.samples)
+        arr = np.asarray(self.samples)
         expected = (h.frames, h.lines_per_frame, h.samples_per_line)
         if arr.shape != expected:
             raise InvalidInputError(
@@ -161,9 +161,9 @@ def write_capture(capture: CaptureFile, path) -> None:
 def read_capture(path) -> CaptureFile:
     """Parse a VBI1 capture file, validating header/payload consistency.
 
-    Only the header is read. The samples map the payload read-only, so a
-    line is read from the file when it is used, and the capture is valid
-    only while the file is not truncated or rewritten.
+    Only the header is read. The samples are a read-only array over a memory
+    map of the payload, so a line is read from the file when it is used, and
+    the capture is valid only while the file is not truncated or rewritten.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -241,26 +241,29 @@ def extract_vbi_lines(
 ) -> list[LineRecord]:
     """LineRecords for every (frame, VBI line) pair of the capture.
 
-    ``frame_range`` may be ``None`` (all frames), an integer n (the first
-    n frames, capped at what the capture holds), or a half-open
-    ``(start, stop)`` tuple, which must lie within the capture. Frame order
-    is preserved. Without ``window_override`` each record gets the default
-    measurement window for the line length.
+    ``frame_range`` may be ``None`` (all frames), a half-open
+    ``(start, stop)`` tuple, which must lie within the capture, or an
+    integer n (the first n frames, capped at what the capture holds). Frame
+    order is preserved. Without ``window_override`` each record gets the
+    default measurement window for the line length.
     """
     header = capture.header
     if frame_range is None:
         frames = range(header.frames)
-    elif isinstance(frame_range, int):
-        if frame_range < 1:
-            raise InvalidInputError(f"frame count must be positive, got {frame_range}")
-        frames = range(min(frame_range, header.frames))
-    else:
-        start, stop = int(frame_range[0]), int(frame_range[1])
+    elif isinstance(frame_range, tuple):
+        if len(frame_range) != 2:
+            raise InvalidInputError(f"frame range must be (start, stop): {frame_range}")
+        start, stop = (_as_int(v, "frame range bound") for v in frame_range)
         if not (0 <= start < stop <= header.frames):
             raise InvalidInputError(
                 f"frame range [{start}, {stop}) outside capture of {header.frames} frames"
             )
         frames = range(start, stop)
+    else:
+        count = _as_int(frame_range, "frame count")
+        if count < 1:
+            raise InvalidInputError(f"frame count must be positive, got {count}")
+        frames = range(min(count, header.frames))
 
     if not header.vbi_line_indices:
         raise MeasurementImpossibleError(

@@ -8,16 +8,18 @@ SNR in dB against the nominal full-scale video amplitude, the statistical
 error margin of the estimate, multi-frame accumulation, and PSNR between
 pixel planes.
 
-Raw statistics use exact integer moments, so one division and one square
-root are their only roundings. Filtered statistics filter equally long
-windows as one block, row by row, and combine per-line sums of squared
-deviations with ``math.fsum``. Either way, pooling frames in any order
-yields bit-identical measurements.
+The windows are gathered once, one int64 block per window length. Raw
+statistics are their exact integer moments, so one division and one square
+root are the only roundings. Filtered statistics filter each block row by
+row and combine per-line sums of squared deviations with ``math.fsum``.
+Either way, pooling frames in any order yields bit-identical measurements.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,6 +44,17 @@ def default_window(n_samples: int) -> tuple[int, int]:
     start = (12 * n_samples + 99) // 100
     end = n_samples - (2 * n_samples) // 100
     return (start, end)
+
+
+def _as_int(value, what: str) -> int:
+    # operator.index takes Python and numpy integers, never a float; bool is
+    # an int subclass but no frame number or count.
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
 
 
 def _check_code_range(samples: np.ndarray, bit_depth: int) -> None:
@@ -126,6 +139,7 @@ class MeasureConfig:
     def __post_init__(self) -> None:
         if self.full_scale is not None and self.full_scale <= 0:
             raise InvalidInputError(f"full_scale must be positive, got {self.full_scale}")
+        object.__setattr__(self, "max_frames", _as_int(self.max_frames, "max_frames"))
         if self.max_frames < 1:
             raise InvalidInputError(f"max_frames must be positive, got {self.max_frames}")
 
@@ -147,7 +161,7 @@ class MeasureConfig:
         filt = d.get("filter")
         return cls(
             full_scale=None if d.get("full_scale") is None else float(d["full_scale"]),
-            max_frames=int(d["max_frames"]),
+            max_frames=d["max_frames"],
             snr_cap_db=float(d["snr_cap_db"]),
             filter=None if filt is None else dsp.FilterSpec.from_dict(filt),
         )
@@ -271,11 +285,10 @@ def accumulate(
 ) -> Measurement:
     """Pool the window samples of several lines into one measurement.
 
-    All samples form a single population: the reference level is the global
-    mean of the unfiltered windows and the noise RMS runs over the pooled
-    population, so the error margin shrinks with the total sample count.
-    The distinct frame count may not exceed ``config.max_frames``. Results
-    are bit-identical under any reordering of the input lines.
+    All samples form one population, gathered once into an int64 block per
+    window length: the reference level is their unfiltered mean, and the
+    noise RMS and its error margin run over all of them. At most
+    ``config.max_frames`` distinct frames; any line order gives the same bits.
     """
     if config is None:
         config = MeasureConfig()
@@ -298,24 +311,24 @@ def accumulate(
             f"{frames_used} frames exceed the {config.max_frames}-frame limit"
         )
 
-    windows = [line.window_samples() for line in lines]
-    pooled = np.concatenate(windows, dtype=np.int64)
-    n = pooled.size
-    total = int(pooled.sum())
+    # One int64 copy of the windows, one block per window length, shortest
+    # first, so a too-short window is reported the same way in any line order.
+    views = sorted((line.window_samples() for line in lines), key=len)
+    blocks = [
+        np.concatenate(list(group), dtype=np.int64).reshape(-1, size)
+        for size, group in itertools.groupby(views, key=len)
+    ]
+    n = sum(b.size for b in blocks)
+    total = sum(int(b.sum()) for b in blocks)
     v_ref = total / n
 
     if config.filter is not None:
         taps = dsp.design_lowpass(config.filter, sample_rate_hz)
-        blocks: dict[int, list[np.ndarray]] = {}
-        for w in windows:
-            blocks.setdefault(w.size, []).append(w)
         n = 0
         line_sums = []
-        # Shortest first, so a too-short window is reported the same way in
-        # any line order.
-        for size in sorted(blocks):
+        for block in blocks:
             try:
-                y = dsp.apply_filter(np.stack(blocks[size]), taps)
+                y = dsp.apply_filter(block, taps)
             except InvalidInputError as exc:
                 raise MeasurementImpossibleError(
                     f"measurement window too short for the {len(taps)}-tap filter: {exc}"
@@ -331,8 +344,8 @@ def accumulate(
         v_n = math.sqrt(ss / (n - 1)) / dsp.noise_gain(taps)
     else:
         # n*sum(x^2) - sum(x)^2 is exact in Python ints.
-        numerator = n * int(pooled @ pooled) - total * total
-        v_n = math.sqrt(numerator / (n * (n - 1)))
+        squares = sum(int(np.vdot(b, b)) for b in blocks)
+        v_n = math.sqrt((n * squares - total * total) / (n * (n - 1)))
     snr, saturated = snr_db(v_n, config, bit_depth)
     return Measurement(
         v_ref=v_ref,

@@ -73,7 +73,7 @@ class TestRoundTrip:
         path = tmp_path / "r.vbi"
         write_capture(small_capture(), path)
         samples = read_capture(path).samples
-        assert isinstance(samples, np.memmap) and samples.dtype == np.uint8
+        assert isinstance(samples.base, np.memmap) and samples.dtype == np.uint8
         with pytest.raises(ValueError, match="read-only"):
             samples[0, 0, 0] = 1
 
@@ -172,6 +172,15 @@ class TestExtract:
         assert sorted({r.frame_index for r in records}) == [5, 6]
         with pytest.raises(InvalidInputError, match="outside capture"):
             extract_vbi_lines(clean_capture, frame_range=(20, 31))
+
+    def test_numpy_integer_frame_count_is_a_count(self, clean_capture):
+        records = extract_vbi_lines(clean_capture, frame_range=np.int64(3))
+        assert [r.frame_index for r in records] == [0, 0, 1, 1, 2, 2]
+
+    @pytest.mark.parametrize("frame_range", [(0, 2.9), (0.0, 2), (0, 1, 2), 2.0, True, "3"])
+    def test_non_integer_frame_selection_rejected(self, clean_capture, frame_range):
+        with pytest.raises(InvalidInputError):
+            extract_vbi_lines(clean_capture, frame_range=frame_range)
 
     def test_no_vbi_lines_is_actionable(self):
         header = CaptureHeader(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 
@@ -248,16 +249,29 @@ class TestAccumulate:
 
     def test_raw_statistics_are_exactly_rounded(self):
         # statistics.variance works in exact fractions and rounds once, so
-        # its square root and fmean are the exactly rounded oracle.
-        for seed in range(60):
+        # its square root and fmean are the exactly rounded oracle. Four
+        # window lengths make the raw moments sum over four blocks.
+        windows = [None, (104, 700), (250, 847), (300, 600)]
+        for bit_depth, seed in itertools.product((8, 10), range(60)):
+            scale = 1 << (bit_depth - 8)
             config = SynthConfig(
-                noise_sigma=SIGMA, seed=seed, interferers=((SOUND_CARRIER_HZ, 10.0, 0.0),)
+                black_level=60.0 * scale,
+                noise_sigma=SIGMA * scale,
+                seed=seed,
+                interferers=((SOUND_CARRIER_HZ, 10.0 * scale, 0.0),),
+                bit_depth=bit_depth,
             )
             lines = extract_vbi_lines(synthesize(config))
+            lines = [
+                LineRecord(line.samples, bit_depth=bit_depth,
+                           frame_index=line.frame_index, window=windows[i % 4])
+                for i, line in enumerate(lines)
+            ]
             samples = np.concatenate([line.window_samples() for line in lines]).tolist()
             m = accumulate(lines)
-            assert m.v_n == math.sqrt(statistics.variance(samples)), seed
-            assert m.v_ref == statistics.fmean(samples), seed
+            assert m.v_n == math.sqrt(statistics.variance(samples)), (bit_depth, seed)
+            assert m.v_ref == statistics.fmean(samples), (bit_depth, seed)
+            assert m.n_samples == len(samples)
 
     def test_filtered_mixed_window_lengths(self, interferer_capture):
         # Each line is filtered on its own and its sum of squares taken
@@ -280,6 +294,16 @@ class TestAccumulate:
         assert m.n_samples == n == sum(e - s - len(taps) + 1 for s, e in windows)
         assert m.v_n == math.sqrt(ss / (n - 1)) / noise_gain(taps)
         assert accumulate(lines[::-1], config) == m
+        # Writable int32 copies of the same rows give the same measurement,
+        # raw and filtered: the result does not depend on the input dtype.
+        widened = [
+            LineRecord(line.samples.astype(np.int32), frame_index=line.frame_index,
+                       window=line.window)
+            for line in lines
+        ]
+        assert widened[0].samples.dtype == np.int32
+        assert accumulate(widened, config) == m
+        assert accumulate(widened) == accumulate(lines)
 
     def test_filtered_short_window_reported_in_any_order(self):
         config = MeasureConfig(filter=FilterSpec())
@@ -315,6 +339,15 @@ class TestAccumulate:
         # 31 records over 30 distinct frames is fine
         lines[30] = line_of([60] * 864, frame_index=0, line_index=1)
         assert accumulate(lines).frames_used == 30
+
+    @pytest.mark.parametrize("max_frames", [2.5, 2.0, True, "30"])
+    def test_frame_limit_must_be_an_integer(self, max_frames):
+        with pytest.raises(InvalidInputError, match="max_frames must be an integer"):
+            MeasureConfig(max_frames=max_frames)
+        with pytest.raises(InvalidInputError, match="max_frames must be an integer"):
+            MeasureConfig.from_dict({**MeasureConfig().as_dict(), "max_frames": max_frames})
+        limit = MeasureConfig(max_frames=np.int64(2)).max_frames
+        assert limit == 2 and type(limit) is int
 
 
 class TestPsnr:
