@@ -9,6 +9,7 @@ above that. Write then read is bit-identical on every valid file.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CaptureFormatError, InvalidInputError, MeasurementImpossibleError
-from .measure import LineRecord, _as_int, _check_code_range, default_window
+from .measure import LineRecord, _admit_codes, _as_int, default_window
 
 MAGIC = b"VBI1"
 FORMAT_VERSION = 1
@@ -56,14 +57,14 @@ class CaptureHeader:
     def __post_init__(self) -> None:
         if self.format_version != FORMAT_VERSION:
             raise InvalidInputError(f"unsupported format_version {self.format_version}")
-        if not 8 <= self.bit_depth <= 10:
+        if not 8 <= _as_int(self.bit_depth, "bit_depth") <= 10:
             raise InvalidInputError(f"bit_depth must be 8..10, got {self.bit_depth}")
         if self.samples_per_line < 16:
             raise InvalidInputError("samples_per_line must be at least 16")
         if self.lines_per_frame < 1 or self.frames < 1:
             raise InvalidInputError("lines_per_frame and frames must be positive")
-        if self.sample_rate_hz <= 0:
-            raise InvalidInputError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise InvalidInputError("sample_rate_hz must be positive and finite")
         if "\n" in self.channel_label:
             raise InvalidInputError("channel_label may not contain newlines")
         idx = tuple(int(i) for i in self.vbi_line_indices)
@@ -114,13 +115,7 @@ class CaptureFile:
             raise InvalidInputError(
                 f"payload shape {arr.shape} does not match header {expected}"
             )
-        if arr.dtype.kind not in "iu":
-            raise InvalidInputError("samples must be integers")
-        _check_code_range(arr, h.bit_depth)
-        if arr.flags.writeable or arr.dtype != h.sample_dtype:
-            arr = arr.astype(h.sample_dtype)
-            arr.flags.writeable = False
-        self.samples = arr
+        self.samples = _admit_codes(arr, h.bit_depth, h.sample_dtype)
 
 
 def _serialize_header(header: CaptureHeader) -> bytes:

@@ -90,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=MeasureConfig.max_frames,
                    help=f"frames to accumulate (max {MeasureConfig.max_frames})")
     p.add_argument("--filter", choices=("on", "off"), default="off")
-    p.add_argument("--cutoff-hz", type=float, default=2.0e6)
+    p.add_argument("--cutoff-hz", type=float, default=FilterSpec.cutoff_hz)
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("scan", help="scan a channel plan against capture files")
     p.add_argument("--plan", required=True)
     p.add_argument("--captures-dir", required=True)
-    p.add_argument("--filter-cutoff", type=float, default=2.0e6)
+    p.add_argument("--filter-cutoff", type=float, default=FilterSpec.cutoff_hz)
     p.add_argument("--format", choices=("csv", "json", "table"), default="table")
     p.add_argument("--out")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,26 +44,25 @@ class FilterSpec:
     kind: str = "windowed-sinc-lowpass"
 
     def __post_init__(self) -> None:
-        if self.cutoff_hz <= 0:
-            raise InvalidInputError(f"cutoff_hz must be positive, got {self.cutoff_hz}")
-        if self.transition_hz <= 0:
+        if not 0 < self.cutoff_hz < math.inf:
             raise InvalidInputError(
-                f"transition_hz must be positive, got {self.transition_hz}"
+                f"cutoff_hz must be positive and finite, got {self.cutoff_hz}"
             )
-        if self.stopband_atten_db < 20:
+        if not 0 < self.transition_hz < math.inf:
             raise InvalidInputError(
-                f"stopband_atten_db must be at least 20, got {self.stopband_atten_db}"
+                f"transition_hz must be positive and finite, got {self.transition_hz}"
+            )
+        if not 20 <= self.stopband_atten_db < math.inf:
+            raise InvalidInputError(
+                f"stopband_atten_db must be finite and at least 20, "
+                f"got {self.stopband_atten_db}"
             )
         if self.kind not in _FILTER_KINDS:
             raise InvalidInputError(f"unknown filter kind {self.kind!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "cutoff_hz": self.cutoff_hz,
-            "transition_hz": self.transition_hz,
-            "stopband_atten_db": self.stopband_atten_db,
-            "kind": self.kind,
-        }
+        """The JSON object: the fields in declaration order."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":
@@ -106,8 +105,10 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
     cached per ``(spec, sample_rate_hz)``, so equal arguments return the
     same array.
     """
-    if sample_rate_hz <= 0:
-        raise InvalidInputError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
+    if not 0 < sample_rate_hz < math.inf:
+        raise InvalidInputError(
+            f"sample_rate_hz must be positive and finite, got {sample_rate_hz}"
+        )
     nyquist = sample_rate_hz / 2.0
     stop_edge = spec.cutoff_hz + spec.transition_hz
     if stop_edge >= nyquist:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,15 +57,23 @@ def _as_int(value, what: str) -> int:
     raise InvalidInputError(f"{what} must be an integer, got {value!r}")
 
 
-def _check_code_range(samples: np.ndarray, bit_depth: int) -> None:
+def _admit_codes(samples: np.ndarray, bit_depth: int, dtype: np.dtype) -> np.ndarray:
+    # ``bit_depth``-bit ADC codes, read-only in ``dtype``: an input already so
+    # (a mapped capture or one of its rows) is kept, any other is copied.
+    if samples.dtype.kind not in "iu":
+        raise InvalidInputError("samples must be integer ADC codes")
     # Scan only the bounds the dtype can break: none for uint8, the maximum
-    # for <u2. Both callers reject an empty or non-integer array first.
+    # for <u2. Both callers reject an empty array first.
     signed = samples.dtype.kind == "i"
     value_bits = 8 * samples.dtype.itemsize - signed
     if (signed and samples.min() < 0) or (
         value_bits > bit_depth and samples.max() >= 1 << bit_depth
     ):
         raise InvalidInputError(f"sample values exceed the {bit_depth}-bit code range")
+    if samples.flags.writeable or samples.dtype != dtype:
+        samples = samples.astype(dtype)
+        samples.flags.writeable = False
+    return samples
 
 
 @dataclass(frozen=True)
@@ -89,12 +97,11 @@ class LineRecord:
         arr = np.asarray(self.samples)
         if arr.ndim != 1:
             raise InvalidInputError("samples must be one-dimensional")
-        if arr.dtype.kind not in "iu":
-            raise InvalidInputError("samples must be integer ADC codes")
-        if not 8 <= self.bit_depth <= 10:
-            raise InvalidInputError(f"bit_depth must be 8..10, got {self.bit_depth}")
-        if self.sample_rate_hz <= 0:
-            raise InvalidInputError("sample_rate_hz must be positive")
+        bit_depth = _as_int(self.bit_depth, "bit_depth")
+        if not 8 <= bit_depth <= 10:
+            raise InvalidInputError(f"bit_depth must be 8..10, got {bit_depth}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise InvalidInputError("sample_rate_hz must be positive and finite")
         if self.line_index < 0 or self.frame_index < 0:
             raise InvalidInputError("line_index and frame_index must be non-negative")
         window = self.window if self.window is not None else default_window(arr.size)
@@ -109,11 +116,7 @@ class LineRecord:
                 f"line {self.line_index} frame {self.frame_index}: window "
                 f"[{start}, {end}) is shorter than 2 samples"
             )
-        _check_code_range(arr, self.bit_depth)
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _admit_codes(arr, bit_depth, arr.dtype))
         object.__setattr__(self, "window", (start, end))
 
     def window_samples(self) -> np.ndarray:
@@ -137,8 +140,12 @@ class MeasureConfig:
     filter: dsp.FilterSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.full_scale is not None and self.full_scale <= 0:
-            raise InvalidInputError(f"full_scale must be positive, got {self.full_scale}")
+        if self.full_scale is not None and not 0 < self.full_scale < math.inf:
+            raise InvalidInputError(
+                f"full_scale must be positive and finite, got {self.full_scale}"
+            )
+        if not math.isfinite(self.snr_cap_db):
+            raise InvalidInputError(f"snr_cap_db must be finite, got {self.snr_cap_db}")
         object.__setattr__(self, "max_frames", _as_int(self.max_frames, "max_frames"))
         if self.max_frames < 1:
             raise InvalidInputError(f"max_frames must be positive, got {self.max_frames}")
@@ -149,12 +156,8 @@ class MeasureConfig:
         return FULL_SCALE_8BIT * 2.0 ** (bit_depth - 8)
 
     def as_dict(self) -> dict:
-        return {
-            "full_scale": self.full_scale,
-            "max_frames": self.max_frames,
-            "snr_cap_db": self.snr_cap_db,
-            "filter": self.filter.as_dict() if self.filter is not None else None,
-        }
+        """The JSON object: the fields in declaration order, ``filter`` nested."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeasureConfig":
@@ -186,16 +189,8 @@ class Measurement:
     saturated: bool
 
     def as_dict(self) -> dict:
-        return {
-            "v_ref": self.v_ref,
-            "v_n": self.v_n,
-            "snr_db": self.snr_db,
-            "error_margin": self.error_margin,
-            "n_samples": self.n_samples,
-            "filtered": self.filtered,
-            "frames_used": self.frames_used,
-            "saturated": self.saturated,
-        }
+        """The JSON object of ``measure --json``: the fields in declaration order."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Measurement":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from typing import Mapping
 
@@ -208,9 +208,7 @@ def render_report(report: ScanReport, format: str = "table") -> str:
             "config": report.config.as_dict(),
             "channels": [
                 {
-                    "designation": row.channel.designation,
-                    "name": row.channel.name,
-                    "video_carrier_mhz": row.channel.video_carrier_mhz,
+                    **asdict(row.channel),
                     "status": row.status,
                     "snr1": None if row.snr1 is None else row.snr1.as_dict(),
                     "snr2": None if row.snr2 is None else row.snr2.as_dict(),
@@ -253,5 +251,5 @@ def report_from_json(text: str) -> ScanReport:
             config=MeasureConfig.from_dict(payload["config"]),
             timestamp=payload["timestamp"],
         )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"not a valid scan report: {exc}") from exc

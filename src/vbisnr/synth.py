@@ -8,13 +8,14 @@ plus optional interfering sinusoids, quantized to the code range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .capture import CaptureFile, CaptureHeader
 from .errors import InvalidInputError
-from .measure import default_window
+from .measure import _as_int, default_window
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,16 @@ class SynthConfig:
     channel_label: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bit_depth", _as_int(self.bit_depth, "bit_depth"))
         max_code = (1 << self.bit_depth) - 1
         if not 0 <= self.black_level <= max_code:
             raise InvalidInputError(
                 f"black_level {self.black_level} outside the 0..{max_code} code range"
             )
-        if self.noise_sigma < 0:
-            raise InvalidInputError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise InvalidInputError(
+                f"noise_sigma must be non-negative and finite, got {self.noise_sigma}"
+            )
         if self.seed < 0:
             raise InvalidInputError("seed must be a non-negative integer")
         if self.frames < 1 or self.lines_per_frame < 1:
@@ -57,8 +61,8 @@ class SynthConfig:
                 raise InvalidInputError(
                     "interferers must be (frequency_hz, amplitude, phase) triples"
                 )
-            freq, amp, _ = spec
-            if freq <= 0 or amp < 0:
+            freq, amp, phase = spec
+            if not (0 < freq < math.inf and 0 <= amp < math.inf and math.isfinite(phase)):
                 raise InvalidInputError(f"bad interferer {spec}")
 
 

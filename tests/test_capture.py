@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -198,6 +199,20 @@ def test_vbi_indices_validated():
     with pytest.raises(InvalidInputError, match="duplicates"):
         CaptureHeader(samples_per_line=64, lines_per_frame=2, frames=1,
                       vbi_line_indices=(0, 0))
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("bit_depth", 8.5, "bit_depth must be an integer"),
+        ("bit_depth", True, "bit_depth must be an integer"),
+        ("sample_rate_hz", math.nan, "sample_rate_hz must be positive"),
+        ("sample_rate_hz", math.inf, "sample_rate_hz must be positive"),
+    ],
+)
+def test_header_numbers_validated(field, value, message):
+    with pytest.raises(InvalidInputError, match=message):
+        CaptureHeader(samples_per_line=64, lines_per_frame=2, frames=1, **{field: value})
 
 
 def test_extra_metadata_round_trips(tmp_path):

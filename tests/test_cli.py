@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from vbisnr import (
     CaptureFile,
     CaptureHeader,
     LineRecord,
+    Measurement,
     line_spectrum,
     read_capture,
     write_capture,
@@ -91,6 +93,29 @@ class TestMeasure:
         for key in ("v_ref", "v_n", "snr_db", "error_margin", "n_samples"):
             assert key in out
         assert "snr_db 40.0" in out or "snr_db 39.9" in out
+
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    def test_json_keys_follow_the_measurement_fields(self, clean_file, capsys, mode):
+        assert main(["measure", "--in", str(clean_file), "--json", "--filter", mode]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert list(result) == [f.name for f in dataclasses.fields(Measurement)]
+
+    @pytest.mark.parametrize("cutoff", ["nan", "inf"])
+    def test_non_finite_cutoff_is_exit_one(self, clean_file, capsys, cutoff):
+        argv = ["measure", "--in", str(clean_file), "--json", "--filter", "on",
+                "--cutoff-hz", cutoff]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cutoff_hz must be positive" in captured.err
+
+    def test_non_finite_header_rate_is_io_failure(self, clean_file, capsys):
+        blob = clean_file.read_bytes()
+        bad = blob.replace(b"sample_rate_hz=13500000.0", b"sample_rate_hz=inf\n\n\n\n\n\n\n")
+        assert len(bad) == len(blob)
+        clean_file.write_bytes(bad)
+        assert main(["measure", "--in", str(clean_file), "--filter", "on"]) == 2
+        assert "bad header" in capsys.readouterr().err
 
     def test_frame_limit_is_exit_one(self, clean_file, capsys):
         assert main(["measure", "--in", str(clean_file), "--frames", "31"]) == 1

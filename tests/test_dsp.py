@@ -99,6 +99,24 @@ class TestDesign:
         with pytest.raises(InvalidInputError):
             FilterSpec(kind="butterworth")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field,message",
+        [
+            ("cutoff_hz", "cutoff_hz must be positive"),
+            ("transition_hz", "transition_hz must be positive"),
+            ("stopband_atten_db", "stopband_atten_db must be finite and at least 20"),
+        ],
+    )
+    def test_non_finite_spec_rejected(self, field, message, value):
+        with pytest.raises(InvalidInputError, match=message):
+            FilterSpec(**{field: value})
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_sample_rate_rejected(self, rate):
+        with pytest.raises(InvalidInputError, match="sample_rate_hz must be positive"):
+            design_lowpass(FilterSpec(), rate)
+
 
 class TestDesignCache:
     def test_equal_arguments_share_one_read_only_array(self):

@@ -65,8 +65,20 @@ class TestLineRecord:
         with pytest.raises(InvalidInputError, match="samples must be integer ADC codes"):
             LineRecord(samples=samples[0, 1])
         header = CaptureHeader(samples_per_line=64, lines_per_frame=2, frames=1)
-        with pytest.raises(InvalidInputError, match="samples must be integers"):
+        with pytest.raises(InvalidInputError, match="samples must be integer ADC codes"):
             CaptureFile(header=header, samples=samples)
+
+    @pytest.mark.parametrize("bit_depth", [9.5, 8.0, True, "8"])
+    def test_bit_depth_must_be_an_integer(self, bit_depth):
+        with pytest.raises(InvalidInputError, match="bit_depth must be an integer"):
+            LineRecord(samples=np.zeros(64, dtype=np.uint8), bit_depth=bit_depth)
+        line = LineRecord(samples=np.zeros(64, dtype=np.uint8), bit_depth=np.int64(9))
+        assert line.bit_depth == 9
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
+    def test_sample_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(InvalidInputError, match="sample_rate_hz must be positive"):
+            LineRecord(samples=np.zeros(64, dtype=np.uint8), sample_rate_hz=rate)
 
     def test_mapped_line_is_a_read_only_view(self, tmp_path, clean_capture):
         path = tmp_path / "c.vbi"
@@ -348,6 +360,35 @@ class TestAccumulate:
             MeasureConfig.from_dict({**MeasureConfig().as_dict(), "max_frames": max_frames})
         limit = MeasureConfig(max_frames=np.int64(2)).max_frames
         assert limit == 2 and type(limit) is int
+
+
+class TestMeasureConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_full_scale_must_be_positive_and_finite(self, value):
+        with pytest.raises(InvalidInputError, match="full_scale must be positive"):
+            MeasureConfig(full_scale=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_snr_cap_must_be_finite(self, value):
+        with pytest.raises(InvalidInputError, match="snr_cap_db must be finite"):
+            MeasureConfig(snr_cap_db=value)
+
+    def test_json_object_lists_the_fields_in_order(self):
+        config = MeasureConfig(full_scale=876.0, filter=FilterSpec(cutoff_hz=1.5e6))
+        assert config.as_dict() == {
+            "full_scale": 876.0,
+            "max_frames": 30,
+            "snr_cap_db": 100.0,
+            "filter": {
+                "cutoff_hz": 1.5e6,
+                "transition_hz": 0.5e6,
+                "stopband_atten_db": 60.0,
+                "kind": "windowed-sinc-lowpass",
+            },
+        }
+        assert list(config.as_dict()) == ["full_scale", "max_frames", "snr_cap_db", "filter"]
+        assert MeasureConfig.from_dict(config.as_dict()) == config
+        assert MeasureConfig().as_dict()["filter"] is None
 
 
 class TestPsnr:

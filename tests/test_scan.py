@@ -20,6 +20,7 @@ from vbisnr import (
     scan,
     synthesize,
 )
+from vbisnr.dsp import FilterSpec
 from vbisnr.scan import ScanReport, ScanRow
 
 from conftest import SIGMA
@@ -178,6 +179,60 @@ def hand_built_report():
     )
 
 
+PINNED_JSON = """\
+{
+  "timestamp": "2026-01-01T00:00:00+00:00",
+  "config": {
+    "full_scale": null,
+    "max_frames": 30,
+    "snr_cap_db": 100.0,
+    "filter": {
+      "cutoff_hz": 1750000.0,
+      "transition_hz": 500000.0,
+      "stopband_atten_db": 60.0,
+      "kind": "windowed-sinc-lowpass"
+    }
+  },
+  "channels": [
+    {
+      "designation": "S02",
+      "name": "TVR1",
+      "video_carrier_mhz": 112.25,
+      "status": "measured",
+      "snr1": {
+        "v_ref": 60.00493494840736,
+        "v_n": 11.824244476871622,
+        "snr_db": 25.353414285363375,
+        "error_margin": 0.05600197824023588,
+        "n_samples": 44580,
+        "filtered": false,
+        "frames_used": 30,
+        "saturated": false
+      },
+      "snr2": {
+        "v_ref": 60.00493494840736,
+        "v_n": 0.30000000000000004,
+        "snr_db": 100.0,
+        "error_margin": 1e-17,
+        "n_samples": 38700,
+        "filtered": true,
+        "frames_used": 30,
+        "saturated": true
+      }
+    },
+    {
+      "designation": "S05",
+      "name": "TV5Monde",
+      "video_carrier_mhz": 133.25,
+      "status": "no-capture",
+      "snr1": null,
+      "snr2": null
+    }
+  ]
+}
+"""
+
+
 class TestRender:
     def test_table_row_matches_published_precision(self):
         text = render_report(hand_built_report(), "table")
@@ -218,6 +273,42 @@ class TestRender:
         }
         report = scan(small_plan, source, timestamp="2026-02-02T00:00:00+00:00")
         assert report_from_json(render_report(report, "json")) == report
+
+    def test_json_bytes_are_pinned(self):
+        # Key order and float repr are part of the format: a round trip
+        # alone would not see either change.
+        snr1 = Measurement(
+            v_ref=60.00493494840736, v_n=11.824244476871622, snr_db=25.353414285363375,
+            error_margin=0.05600197824023588, n_samples=44580, filtered=False,
+            frames_used=30, saturated=False,
+        )
+        snr2 = Measurement(
+            v_ref=60.00493494840736, v_n=0.1 + 0.2, snr_db=100.0, error_margin=1e-17,
+            n_samples=38700, filtered=True, frames_used=30, saturated=True,
+        )
+        report = ScanReport(
+            rows=(
+                ScanRow(ChannelEntry("S02", "TVR1", 112.25), snr1, snr2, "measured"),
+                ScanRow(ChannelEntry("S05", "TV5Monde", 133.25), None, None, "no-capture"),
+            ),
+            config=MeasureConfig(filter=FilterSpec(cutoff_hz=1.75e6)),
+            timestamp="2026-01-01T00:00:00+00:00",
+        )
+        text = render_report(report, "json")
+        assert text == PINNED_JSON
+        assert report_from_json(text) == report
+
+    @pytest.mark.parametrize(
+        "good,bad",
+        [
+            ('"v_n": 11.824244476871622', '"v_n": "abc"'),
+            ('"snr_cap_db": 100.0', '"snr_cap_db": "x"'),
+        ],
+    )
+    def test_malformed_report_numbers_rejected(self, good, bad):
+        assert good in PINNED_JSON
+        with pytest.raises(InvalidInputError, match="not a valid scan report"):
+            report_from_json(PINNED_JSON.replace(good, bad))
 
     def test_unknown_format_rejected(self):
         with pytest.raises(InvalidInputError, match="unknown report format"):

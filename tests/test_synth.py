@@ -123,6 +123,27 @@ def test_heavy_clipping_sets_warning():
     assert clean.header.extra["clip_count"] == "0"
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_noise_sigma_must_be_non_negative_and_finite(sigma):
+    with pytest.raises(InvalidInputError, match="noise_sigma must be non-negative"):
+        SynthConfig(noise_sigma=sigma)
+
+
+@pytest.mark.parametrize(
+    "interferer",
+    [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0), (1e6, math.nan, 0.0), (1e6, 1.0, math.inf)],
+)
+def test_non_finite_interferer_rejected(interferer):
+    with pytest.raises(InvalidInputError, match="bad interferer"):
+        SynthConfig(interferers=(interferer,))
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_non_finite_sample_rate_rejected(rate):
+    with pytest.raises(InvalidInputError, match="sample_rate_hz must be positive"):
+        synthesize(SynthConfig(sample_rate_hz=rate, frames=1))
+
+
 def test_black_level_outside_code_range_rejected():
     with pytest.raises(InvalidInputError, match="code range"):
         synthesize(SynthConfig(black_level=300.0))
