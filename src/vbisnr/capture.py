@@ -22,21 +22,31 @@ from .measure import LineRecord, _admit_codes, _as_int, default_window
 MAGIC = b"VBI1"
 FORMAT_VERSION = 1
 
-_HEADER_KEYS = (
-    "format_version",
-    "bit_depth",
-    "sample_rate_hz",
-    "samples_per_line",
-    "lines_per_frame",
-    "frames",
-    "vbi_line_indices",
-    "channel_label",
-)
+
+def _sample_dtype(bit_depth: int) -> np.dtype:
+    return np.dtype(np.uint8 if bit_depth <= 8 else "<u2")
+
+
+# The header keys in file order: how each value's text is parsed and how the
+# value is written. A key parsed with ``int`` is held as an ``int``.
+_HEADER_FIELDS = {
+    "format_version": (int, str),
+    "bit_depth": (int, str),
+    "sample_rate_hz": (float, lambda v: repr(float(v))),
+    "samples_per_line": (int, str),
+    "lines_per_frame": (int, str),
+    "frames": (int, str),
+    "vbi_line_indices": (
+        lambda text: tuple(int(v) for v in text.split(",") if v != ""),
+        lambda v: ",".join(map(str, v)),
+    ),
+    "channel_label": (str, str),
+}
 
 
 @dataclass(frozen=True)
 class CaptureHeader:
-    """Metadata block of a capture file.
+    """Metadata block of a capture file, and the one check of its geometry.
 
     ``vbi_line_indices`` names the blanked lines suitable for measurement;
     it may be empty, in which case the capture cannot be measured.
@@ -57,7 +67,10 @@ class CaptureHeader:
     def __post_init__(self) -> None:
         if self.format_version != FORMAT_VERSION:
             raise InvalidInputError(f"unsupported format_version {self.format_version}")
-        if not 8 <= _as_int(self.bit_depth, "bit_depth") <= 10:
+        for key, (parse, _) in _HEADER_FIELDS.items():
+            if parse is int:
+                object.__setattr__(self, key, _as_int(getattr(self, key), key))
+        if not 8 <= self.bit_depth <= 10:
             raise InvalidInputError(f"bit_depth must be 8..10, got {self.bit_depth}")
         if self.samples_per_line < 16:
             raise InvalidInputError("samples_per_line must be at least 16")
@@ -67,7 +80,7 @@ class CaptureHeader:
             raise InvalidInputError("sample_rate_hz must be positive and finite")
         if "\n" in self.channel_label:
             raise InvalidInputError("channel_label may not contain newlines")
-        idx = tuple(int(i) for i in self.vbi_line_indices)
+        idx = tuple(_as_int(i, "VBI line index") for i in self.vbi_line_indices)
         if len(set(idx)) != len(idx):
             raise InvalidInputError("vbi_line_indices contains duplicates")
         if any(i < 0 or i >= self.lines_per_frame for i in idx):
@@ -77,12 +90,8 @@ class CaptureHeader:
         object.__setattr__(self, "vbi_line_indices", idx)
 
     @property
-    def bytes_per_sample(self) -> int:
-        return 1 if self.bit_depth <= 8 else 2
-
-    @property
     def sample_dtype(self) -> np.dtype:
-        return np.dtype(np.uint8) if self.bytes_per_sample == 1 else np.dtype("<u2")
+        return _sample_dtype(self.bit_depth)
 
     @property
     def payload_bytes(self) -> int:
@@ -90,7 +99,7 @@ class CaptureHeader:
             self.frames
             * self.lines_per_frame
             * self.samples_per_line
-            * self.bytes_per_sample
+            * self.sample_dtype.itemsize
         )
 
 
@@ -119,19 +128,9 @@ class CaptureFile:
 
 
 def _serialize_header(header: CaptureHeader) -> bytes:
-    values = {
-        "format_version": str(header.format_version),
-        "bit_depth": str(header.bit_depth),
-        "sample_rate_hz": repr(float(header.sample_rate_hz)),
-        "samples_per_line": str(header.samples_per_line),
-        "lines_per_frame": str(header.lines_per_frame),
-        "frames": str(header.frames),
-        "vbi_line_indices": ",".join(str(i) for i in header.vbi_line_indices),
-        "channel_label": header.channel_label,
-    }
-    lines = [f"{k}={values[k]}" for k in _HEADER_KEYS]
+    lines = [f"{k}={write(getattr(header, k))}" for k, (_, write) in _HEADER_FIELDS.items()]
     for key in sorted(header.extra):
-        if key in _HEADER_KEYS:
+        if key in _HEADER_FIELDS:
             raise InvalidInputError(f"extra metadata key {key!r} shadows a header field")
         value = header.extra[key]
         if "\n" in key or "\n" in value or "=" in key:
@@ -141,16 +140,21 @@ def _serialize_header(header: CaptureHeader) -> bytes:
 
 
 def write_capture(capture: CaptureFile, path) -> None:
-    """Write a capture to ``path`` in the VBI1 container format."""
+    """Write a capture to ``path`` in the VBI1 container format.
+
+    An existing regular file (or the target of a symlink to one) is unlinked
+    and replaced, not truncated, so a capture that maps it keeps its samples.
+    """
     header_bytes = _serialize_header(capture.header)
-    # Copy the payload out before opening ``path``: the samples of a capture
-    # read from ``path`` map that file, and opening it truncates it.
-    payload = capture.samples.tobytes()
-    with open(path, "wb") as fh:
+    # A device such as /dev/null is written in place, never unlinked.
+    target = os.path.realpath(path)
+    if os.path.isfile(target):
+        os.unlink(target)
+    with open(target, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(payload)
+        capture.samples.tofile(fh)
 
 
 def read_capture(path) -> CaptureFile:
@@ -158,7 +162,7 @@ def read_capture(path) -> CaptureFile:
 
     Only the header is read. The samples are a read-only array over a memory
     map of the payload, so a line is read from the file when it is used, and
-    the capture is valid only while the file is not truncated or rewritten.
+    the capture is valid only while the file is not truncated or written in place.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -194,7 +198,7 @@ def read_capture(path) -> CaptureFile:
 
 
 def _parse_header(path, text: str) -> CaptureHeader:
-    fields: dict[str, str] = {}
+    fields: dict[str, str] = {"channel_label": ""}  # the one key a file may omit
     # the separator is strictly \n; values may hold any other character
     for raw in text.split("\n"):
         if not raw:
@@ -204,27 +208,16 @@ def _parse_header(path, text: str) -> CaptureHeader:
         key, _, value = raw.partition("=")
         fields[key] = value
 
-    def require(key: str) -> str:
-        if key not in fields:
-            raise CaptureFormatError(f"{path}: missing header field {key!r}")
-        return fields.pop(key)
-
+    parsed = {}
     try:
-        version = int(require("format_version"))
-        if version != FORMAT_VERSION:
-            raise CaptureFormatError(f"{path}: unknown format_version {version}")
-        vbi_text = require("vbi_line_indices")
-        return CaptureHeader(
-            bit_depth=int(require("bit_depth")),
-            sample_rate_hz=float(require("sample_rate_hz")),
-            samples_per_line=int(require("samples_per_line")),
-            lines_per_frame=int(require("lines_per_frame")),
-            frames=int(require("frames")),
-            vbi_line_indices=tuple(int(v) for v in vbi_text.split(",") if v != ""),
-            channel_label=fields.pop("channel_label", ""),
-            format_version=version,
-            extra=dict(fields),
-        )
+        for key, (parse, _) in _HEADER_FIELDS.items():
+            if key not in fields:
+                raise CaptureFormatError(f"{path}: missing header field {key!r}")
+            parsed[key] = parse(fields.pop(key))
+            # The version comes first: a later format may carry other keys.
+            if key == "format_version" and parsed[key] != FORMAT_VERSION:
+                raise CaptureFormatError(f"{path}: unknown format_version {parsed[key]}")
+        return CaptureHeader(**parsed, extra=fields)
     except (ValueError, InvalidInputError) as exc:
         raise CaptureFormatError(f"{path}: bad header: {exc}") from exc
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .capture import CaptureFile, extract_vbi_lines, read_capture, write_capture
+from .capture import CaptureFile, _sample_dtype, extract_vbi_lines, read_capture, write_capture
 from .dsp import FilterSpec, line_spectrum
 from .errors import (
     CaptureFormatError,
@@ -226,8 +226,7 @@ def _load_plane(path: str, bits: int, width: int | None, height: int | None) -> 
         except (KeyError, ValueError) as exc:
             raise InvalidInputError(f"{sidecar}: bad sidecar header: {exc}") from exc
 
-    dtype = np.uint8 if bits <= 8 else np.dtype("<u2")
-    data = np.fromfile(path, dtype=dtype)
+    data = np.fromfile(path, dtype=_sample_dtype(bits))
     plane_px = width * height
     if data.size == plane_px:
         return data.reshape(height, width)

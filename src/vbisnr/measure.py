@@ -194,15 +194,18 @@ class Measurement:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Measurement":
+        for key in ("filtered", "saturated"):
+            if not isinstance(d[key], bool):
+                raise InvalidInputError(f"{key} must be true or false, got {d[key]!r}")
         return cls(
             v_ref=float(d["v_ref"]),
             v_n=float(d["v_n"]),
             snr_db=float(d["snr_db"]),
             error_margin=float(d["error_margin"]),
-            n_samples=int(d["n_samples"]),
-            filtered=bool(d["filtered"]),
-            frames_used=int(d["frames_used"]),
-            saturated=bool(d["saturated"]),
+            n_samples=_as_int(d["n_samples"], "n_samples"),
+            filtered=d["filtered"],
+            frames_used=_as_int(d["frames_used"], "frames_used"),
+            saturated=d["saturated"],
         )
 
 
@@ -374,6 +377,7 @@ def psnr(
         raise InvalidInputError(f"plane shapes differ: {a.shape} vs {b.shape}")
     if a.ndim not in (2, 3):
         raise InvalidInputError(f"expected a 2-D or 3-D pixel plane, got {a.ndim}-D")
+    bits_per_pixel = _as_int(bits_per_pixel, "bits_per_pixel")
     if not 1 <= bits_per_pixel <= 16:
         raise InvalidInputError(f"bits_per_pixel must be 1..16, got {bits_per_pixel}")
 

@@ -9,7 +9,7 @@ plus optional interfering sinusoids, quantized to the code range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ class SynthConfig:
     PAL B/G sound carrier. ``sync`` prepends a sync-tip plus color-burst
     region over the first 12% of each line, which the default measurement
     window excludes. Identical configs produce bit-identical captures.
+    ``header`` is the capture's header, built and so checked at construction.
     """
 
     black_level: float = 60.0
@@ -40,10 +41,19 @@ class SynthConfig:
     lines_per_frame: int = 2
     sync: bool = False
     channel_label: str = ""
+    header: CaptureHeader = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bit_depth", _as_int(self.bit_depth, "bit_depth"))
-        max_code = (1 << self.bit_depth) - 1
+        header = CaptureHeader(
+            samples_per_line=self.samples_per_line,
+            lines_per_frame=self.lines_per_frame,
+            frames=self.frames,
+            bit_depth=self.bit_depth,
+            sample_rate_hz=self.sample_rate_hz,
+            channel_label=self.channel_label,
+        )
+        object.__setattr__(self, "header", header)
+        max_code = (1 << header.bit_depth) - 1
         if not 0 <= self.black_level <= max_code:
             raise InvalidInputError(
                 f"black_level {self.black_level} outside the 0..{max_code} code range"
@@ -52,10 +62,9 @@ class SynthConfig:
             raise InvalidInputError(
                 f"noise_sigma must be non-negative and finite, got {self.noise_sigma}"
             )
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if self.seed < 0:
             raise InvalidInputError("seed must be a non-negative integer")
-        if self.frames < 1 or self.lines_per_frame < 1:
-            raise InvalidInputError("frames and lines_per_frame must be positive")
         for spec in self.interferers:
             if len(spec) != 3:
                 raise InvalidInputError(
@@ -86,8 +95,9 @@ def _quantize(x: np.ndarray, max_code: int, out: np.ndarray) -> int:
 
 def synthesize(config: SynthConfig) -> CaptureFile:
     """Generate a capture per ``config``; a pure function of the config."""
-    spl = config.samples_per_line
-    max_code = (1 << config.bit_depth) - 1
+    header = config.header
+    spl = header.samples_per_line
+    max_code = (1 << header.bit_depth) - 1
     t = np.arange(spl, dtype=np.float64) / config.sample_rate_hz
 
     base = np.full(spl, config.black_level, dtype=np.float64)
@@ -104,24 +114,15 @@ def synthesize(config: SynthConfig) -> CaptureFile:
             2.0 * np.pi * 4.43e6 * t[tip_len:sync_len]
         )
 
-    header = CaptureHeader(
-        samples_per_line=spl,
-        lines_per_frame=config.lines_per_frame,
-        frames=config.frames,
-        vbi_line_indices=tuple(range(config.lines_per_frame)),
-        bit_depth=config.bit_depth,
-        sample_rate_hz=config.sample_rate_hz,
-        channel_label=config.channel_label,
-    )
     samples = np.empty(
-        (config.frames, config.lines_per_frame, spl), dtype=header.sample_dtype
+        (header.frames, header.lines_per_frame, spl), dtype=header.sample_dtype
     )
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    block_frames = -(-_BLOCK_SAMPLES // (config.lines_per_frame * spl))
+    block_frames = -(-_BLOCK_SAMPLES // (header.lines_per_frame * spl))
     clip_count = 0
     # The generator fills its output in order, so drawing one block of
     # frames after another yields the values of a single whole-capture draw.
-    for first in range(0, config.frames, block_frames):
+    for first in range(0, header.frames, block_frames):
         out = samples[first : first + block_frames]
         if config.noise_sigma > 0:
             block = rng.normal(0.0, config.noise_sigma, size=out.shape)
@@ -146,5 +147,5 @@ def synthesize(config: SynthConfig) -> CaptureFile:
         extra["clip_warning"] = (
             f"{clip_count} of {total} samples clipped; reduce noise_sigma or amplitudes"
         )
-    header = replace(header, extra=extra)
+    header = replace(header, vbi_line_indices=range(header.lines_per_frame), extra=extra)
     return CaptureFile(header=header, samples=samples)

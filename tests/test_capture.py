@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +71,63 @@ class TestRoundTrip:
         before = path.read_bytes()
         write_capture(read_capture(path), path)
         assert path.read_bytes() == before
+
+    def test_header_bytes_are_pinned(self, tmp_path):
+        # Key order, float repr and the sorted extras are part of the format:
+        # a round trip alone would not see a change in any of them.
+        header = CaptureHeader(
+            samples_per_line=16, lines_per_frame=3, frames=1, vbi_line_indices=(0, 2),
+            bit_depth=10, sample_rate_hz=27e6, channel_label="ARD=1 Sächsisch",
+            extra={"zeta": "a=b", "alpha": "1"},
+        )
+        path = tmp_path / "pinned.vbi"
+        write_capture(CaptureFile(header, np.full((1, 3, 16), 700, dtype=np.int32)), path)
+        blob = path.read_bytes()
+        assert blob[:-96] == (
+            b"VBI1\xac\x00\x00\x00format_version=1\nbit_depth=10\n"
+            b"sample_rate_hz=27000000.0\nsamples_per_line=16\nlines_per_frame=3\n"
+            b"frames=1\nvbi_line_indices=0,2\nchannel_label=ARD=1 S\xc3\xa4chsisch\n"
+            b"alpha=1\nzeta=a=b\n"
+        )
+        assert blob[-96:] == b"\xbc\x02" * 48
+        assert read_capture(path).header == header
+
+    def test_rewrite_keeps_a_live_capture(self, tmp_path):
+        path = tmp_path / "live.vbi"
+        write_capture(small_capture(value=60), path)
+        live = read_capture(path)
+        write_capture(small_capture(value=90), path)
+        assert np.all(live.samples == 60)
+        assert np.all(read_capture(path).samples == 90)
+
+    def test_rewrite_through_a_symlink_replaces_its_target(self, tmp_path):
+        target = tmp_path / "target.vbi"
+        link = tmp_path / "link.vbi"
+        write_capture(small_capture(value=60), target)
+        link.symlink_to(target)
+        live = read_capture(link)
+        write_capture(small_capture(value=90), link)
+        assert link.is_symlink() and link.resolve() == target
+        assert np.all(live.samples == 60)
+        assert np.all(read_capture(target).samples == 90)
+
+    def test_device_is_written_not_unlinked(self, monkeypatch):
+        unlinked = []
+        monkeypatch.setattr(os, "unlink", unlinked.append)
+        write_capture(small_capture(), os.devnull)
+        assert unlinked == []
+
+    def test_write_does_not_copy_the_payload(self, tmp_path):
+        cap = small_capture(frames=6000)  # 6000 x 3 x 64 one-byte samples
+        payload = cap.header.payload_bytes
+        assert payload >= 1 << 20
+        tracemalloc.start()
+        try:
+            write_capture(cap, tmp_path / "big.vbi")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < payload // 4
 
     def test_read_samples_are_read_only(self, tmp_path):
         path = tmp_path / "r.vbi"
@@ -208,11 +267,28 @@ def test_vbi_indices_validated():
         ("bit_depth", True, "bit_depth must be an integer"),
         ("sample_rate_hz", math.nan, "sample_rate_hz must be positive"),
         ("sample_rate_hz", math.inf, "sample_rate_hz must be positive"),
+        ("samples_per_line", 16.5, "samples_per_line must be an integer"),
+        ("lines_per_frame", 2.0, "lines_per_frame must be an integer"),
+        ("frames", True, "frames must be an integer"),
+        ("vbi_line_indices", (0.7,), "VBI line index must be an integer"),
     ],
 )
 def test_header_numbers_validated(field, value, message):
+    geometry = {"samples_per_line": 64, "lines_per_frame": 2, "frames": 1}
     with pytest.raises(InvalidInputError, match=message):
-        CaptureHeader(samples_per_line=64, lines_per_frame=2, frames=1, **{field: value})
+        CaptureHeader(**{**geometry, field: value})
+
+
+def test_header_holds_python_ints():
+    header = CaptureHeader(
+        samples_per_line=np.int64(64), lines_per_frame=np.uint16(2), frames=np.int32(3),
+        vbi_line_indices=np.arange(2), bit_depth=np.uint8(10),
+    )
+    values = [header.samples_per_line, header.lines_per_frame, header.frames,
+              header.bit_depth, *header.vbi_line_indices]
+    assert values == [64, 2, 3, 10, 0, 1]
+    assert all(type(v) is int for v in values)
+    assert header.payload_bytes == 64 * 2 * 3 * 2
 
 
 def test_extra_metadata_round_trips(tmp_path):

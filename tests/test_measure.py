@@ -435,6 +435,11 @@ class TestPsnr:
         with pytest.raises(InvalidInputError):
             psnr(np.zeros((2, 2)), np.zeros((2, 2)), bits_per_pixel=17)
 
+    @pytest.mark.parametrize("bits", [8.5, True])
+    def test_bits_must_be_an_integer(self, bits):
+        with pytest.raises(InvalidInputError, match="bits_per_pixel must be an integer"):
+            psnr(np.zeros((2, 2)), np.zeros((2, 2)), bits_per_pixel=bits)
+
 
 def test_default_window_rule():
     assert default_window(864) == (104, 847)

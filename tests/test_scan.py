@@ -303,6 +303,10 @@ class TestRender:
         [
             ('"v_n": 11.824244476871622', '"v_n": "abc"'),
             ('"snr_cap_db": 100.0', '"snr_cap_db": "x"'),
+            ('"filtered": false', '"filtered": "false"'),
+            ('"saturated": true', '"saturated": 1'),
+            ('"n_samples": 44580', '"n_samples": 44580.7'),
+            ('"frames_used": 30', '"frames_used": "30"'),
         ],
     )
     def test_malformed_report_numbers_rejected(self, good, bad):

@@ -144,6 +144,22 @@ def test_non_finite_sample_rate_rejected(rate):
         synthesize(SynthConfig(sample_rate_hz=rate, frames=1))
 
 
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        ({"frames": 2.5}, "frames must be an integer"),
+        ({"lines_per_frame": True}, "lines_per_frame must be an integer"),
+        ({"samples_per_line": 8}, "samples_per_line must be at least 16"),
+        ({"bit_depth": 12}, "bit_depth must be 8..10"),
+        ({"frames": 0}, "frames must be positive"),
+        ({"seed": 1.5}, "seed must be an integer"),
+    ],
+)
+def test_bad_settings_rejected_at_construction(setting, message):
+    with pytest.raises(InvalidInputError, match=message):
+        SynthConfig(**setting)
+
+
 def test_black_level_outside_code_range_rejected():
     with pytest.raises(InvalidInputError, match="code range"):
         synthesize(SynthConfig(black_level=300.0))
