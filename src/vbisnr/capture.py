@@ -9,7 +9,6 @@ above that. Write then read is bit-identical on every valid file.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -17,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CaptureFormatError, InvalidInputError, MeasurementImpossibleError
-from .measure import LineRecord, _admit_codes, _as_int, default_window
+from .errors import _as_float, _as_int
+from .measure import LineRecord, _admit_codes, default_window
 
 MAGIC = b"VBI1"
 FORMAT_VERSION = 1
@@ -28,11 +28,11 @@ def _sample_dtype(bit_depth: int) -> np.dtype:
 
 
 # The header keys in file order: how each value's text is parsed and how the
-# value is written. A key parsed with ``int`` is held as an ``int``.
+# value is written. A key parsed with ``int`` or ``float`` is held as one.
 _HEADER_FIELDS = {
     "format_version": (int, str),
     "bit_depth": (int, str),
-    "sample_rate_hz": (float, lambda v: repr(float(v))),
+    "sample_rate_hz": (float, repr),
     "samples_per_line": (int, str),
     "lines_per_frame": (int, str),
     "frames": (int, str),
@@ -76,8 +76,8 @@ class CaptureHeader:
             raise InvalidInputError("samples_per_line must be at least 16")
         if self.lines_per_frame < 1 or self.frames < 1:
             raise InvalidInputError("lines_per_frame and frames must be positive")
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise InvalidInputError("sample_rate_hz must be positive and finite")
+        rate = _as_float(self.sample_rate_hz, "sample_rate_hz", 0, above=True)
+        object.__setattr__(self, "sample_rate_hz", rate)
         if "\n" in self.channel_label:
             raise InvalidInputError("channel_label may not contain newlines")
         idx = tuple(_as_int(i, "VBI line index") for i in self.vbi_line_indices)
@@ -248,9 +248,7 @@ def extract_vbi_lines(
             )
         frames = range(start, stop)
     else:
-        count = _as_int(frame_range, "frame count")
-        if count < 1:
-            raise InvalidInputError(f"frame count must be positive, got {count}")
+        count = _as_int(frame_range, "frame count", 1)
         frames = range(min(count, header.frames))
 
     if not header.vbi_line_indices:

@@ -21,6 +21,7 @@ from .errors import (
     CaptureFormatError,
     InvalidInputError,
     MeasurementImpossibleError,
+    _as_int,
 )
 from .measure import LineRecord, MeasureConfig, accumulate, psnr
 from .scan import parse_plan, render_report, scan
@@ -66,8 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic capture file")
-    p.add_argument("--sigma", type=float, default=0.0, help="Gaussian noise RMS in code units")
-    p.add_argument("--black-level", type=float, default=60.0)
+    p.add_argument("--sigma", type=float, default=SynthConfig.noise_sigma,
+                   help="Gaussian noise RMS in code units")
+    p.add_argument("--black-level", type=float, default=SynthConfig.black_level)
     p.add_argument(
         "--interferer",
         action="append",
@@ -75,14 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FREQ,AMP[,PHASE]",
         help="add a sinusoidal interferer (repeatable)",
     )
-    p.add_argument("--frames", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vbi-lines", type=int, default=2, help="VBI lines per frame")
-    p.add_argument("--samples-per-line", type=int, default=864)
-    p.add_argument("--sample-rate", type=float, default=13.5e6)
-    p.add_argument("--bit-depth", type=int, default=8)
-    p.add_argument("--sync", action="store_true", help="include a sync/burst region")
-    p.add_argument("--label", default="", help="channel label for the header")
+    p.add_argument("--frames", type=int, default=SynthConfig.frames)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
+    p.add_argument("--vbi-lines", type=int, default=SynthConfig.lines_per_frame,
+                   help="VBI lines per frame")
+    p.add_argument("--samples-per-line", type=int, default=SynthConfig.samples_per_line)
+    p.add_argument("--sample-rate", type=float, default=SynthConfig.sample_rate_hz)
+    p.add_argument("--bit-depth", type=int, default=SynthConfig.bit_depth)
+    p.add_argument("--sync", action="store_true", default=SynthConfig.sync,
+                   help="include a sync/burst region")
+    p.add_argument("--label", default=SynthConfig.channel_label,
+                   help="channel label for the header")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("measure", help="measure SNR of a capture")
@@ -225,6 +230,7 @@ def _load_plane(path: str, bits: int, width: int | None, height: int | None) -> 
             height = int(fields["height"])
         except (KeyError, ValueError) as exc:
             raise InvalidInputError(f"{sidecar}: bad sidecar header: {exc}") from exc
+    width, height = _as_int(width, "width", 1), _as_int(height, "height", 1)
 
     data = np.fromfile(path, dtype=_sample_dtype(bits))
     plane_px = width * height

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _as_float, _as_int
 
 if TYPE_CHECKING:
     from .measure import LineRecord
@@ -44,19 +44,12 @@ class FilterSpec:
     kind: str = "windowed-sinc-lowpass"
 
     def __post_init__(self) -> None:
-        if not 0 < self.cutoff_hz < math.inf:
-            raise InvalidInputError(
-                f"cutoff_hz must be positive and finite, got {self.cutoff_hz}"
-            )
-        if not 0 < self.transition_hz < math.inf:
-            raise InvalidInputError(
-                f"transition_hz must be positive and finite, got {self.transition_hz}"
-            )
-        if not 20 <= self.stopband_atten_db < math.inf:
-            raise InvalidInputError(
-                f"stopband_atten_db must be finite and at least 20, "
-                f"got {self.stopband_atten_db}"
-            )
+        for key, low, above in (
+            ("cutoff_hz", 0, True),
+            ("transition_hz", 0, True),
+            ("stopband_atten_db", 20, False),
+        ):
+            object.__setattr__(self, key, _as_float(getattr(self, key), key, low, above))
         if self.kind not in _FILTER_KINDS:
             raise InvalidInputError(f"unknown filter kind {self.kind!r}")
 
@@ -66,12 +59,7 @@ class FilterSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":
-        return cls(
-            cutoff_hz=float(d["cutoff_hz"]),
-            transition_hz=float(d["transition_hz"]),
-            stopband_atten_db=float(d["stopband_atten_db"]),
-            kind=str(d["kind"]),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +93,7 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
     cached per ``(spec, sample_rate_hz)``, so equal arguments return the
     same array.
     """
-    if not 0 < sample_rate_hz < math.inf:
-        raise InvalidInputError(
-            f"sample_rate_hz must be positive and finite, got {sample_rate_hz}"
-        )
+    sample_rate_hz = _as_float(sample_rate_hz, "sample_rate_hz", 0, above=True)
     nyquist = sample_rate_hz / 2.0
     stop_edge = spec.cutoff_hz + spec.transition_hz
     if stop_edge >= nyquist:
@@ -224,7 +209,8 @@ def line_spectrum(line: "LineRecord", fft_size: int | None = None) -> Spectrum:
     if fft_size is None:
         fft_size = 1 << (n - 1).bit_length()
     else:
-        if fft_size < 1 or fft_size & (fft_size - 1):
+        fft_size = _as_int(fft_size, "fft_size", 1)
+        if fft_size & (fft_size - 1):
             raise InvalidInputError(f"fft_size must be a power of two, got {fft_size}")
         if fft_size < n:
             raise InvalidInputError(

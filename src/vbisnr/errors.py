@@ -1,8 +1,13 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the one rule that admits numbers.
 
 The CLI maps these onto its exit-code contract, so new error conditions
 should reuse one of the classes below rather than raising bare exceptions.
 """
+
+import math
+import operator
+
+import numpy as np
 
 
 class VbiSnrError(Exception):
@@ -19,3 +24,34 @@ class CaptureFormatError(VbiSnrError):
 
 class MeasurementImpossibleError(VbiSnrError):
     """The input is well formed but contains nothing measurable."""
+
+
+def _as_int(value, what: str, low: float = -math.inf) -> int:
+    # An integer at least ``low``. operator.index takes Python and numpy
+    # integers, never a float; bool is an int subclass but no count or index.
+    try:
+        if not isinstance(value, bool):
+            number = operator.index(value)
+            if number >= low:
+                return number
+            raise InvalidInputError(f"{what} must be at least {low}, got {number}")
+    except TypeError:
+        pass
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
+def _as_float(value, what: str, low: float = -math.inf, above: bool = False) -> float:
+    # A finite number at least ``low`` (above it, when ``above``), as a float: never
+    # a bool (numpy's too) or numeric text. A plain float skips the slower isinstance.
+    if type(value) is float or not isinstance(value, (bool, np.bool_, str, bytes)):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number) and (number > low if above else number >= low):
+            return number
+    word = "above" if above else "at least"
+    rule = "finite" if low == -math.inf else f"finite and {word} {low:g}"
+    if low == 0:
+        rule = "positive and finite" if above else "non-negative and finite"
+    raise InvalidInputError(f"{what} must be {rule}, got {value!r}")

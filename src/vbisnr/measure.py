@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import dsp
-from .errors import InvalidInputError, MeasurementImpossibleError
+from .errors import InvalidInputError, MeasurementImpossibleError, _as_float, _as_int
 
 # Nominal 8-bit video signal amplitude: 235 - 16 code units (ITU-R BT.601
 # levels). Wider samples scale proportionally.
@@ -44,17 +43,6 @@ def default_window(n_samples: int) -> tuple[int, int]:
     start = (12 * n_samples + 99) // 100
     end = n_samples - (2 * n_samples) // 100
     return (start, end)
-
-
-def _as_int(value, what: str) -> int:
-    # operator.index takes Python and numpy integers, never a float; bool is
-    # an int subclass but no frame number or count.
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
 
 
 def _admit_codes(samples: np.ndarray, bit_depth: int, dtype: np.dtype) -> np.ndarray:
@@ -100,12 +88,15 @@ class LineRecord:
         bit_depth = _as_int(self.bit_depth, "bit_depth")
         if not 8 <= bit_depth <= 10:
             raise InvalidInputError(f"bit_depth must be 8..10, got {bit_depth}")
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise InvalidInputError("sample_rate_hz must be positive and finite")
-        if self.line_index < 0 or self.frame_index < 0:
-            raise InvalidInputError("line_index and frame_index must be non-negative")
+        rate = _as_float(self.sample_rate_hz, "sample_rate_hz", 0, above=True)
+        _as_int(self.line_index, "line_index", 0)
+        _as_int(self.frame_index, "frame_index", 0)
         window = self.window if self.window is not None else default_window(arr.size)
-        start, end = int(window[0]), int(window[1])
+        try:
+            start, end = window
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"window {window!r} is not a (start, end) pair") from None
+        start, end = _as_int(start, "window start"), _as_int(end, "window end")
         if not (0 <= start < end <= arr.size):
             raise InvalidInputError(
                 f"line {self.line_index} frame {self.frame_index}: window "
@@ -117,6 +108,7 @@ class LineRecord:
                 f"[{start}, {end}) is shorter than 2 samples"
             )
         object.__setattr__(self, "samples", _admit_codes(arr, bit_depth, arr.dtype))
+        object.__setattr__(self, "sample_rate_hz", rate)
         object.__setattr__(self, "window", (start, end))
 
     def window_samples(self) -> np.ndarray:
@@ -140,15 +132,11 @@ class MeasureConfig:
     filter: dsp.FilterSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.full_scale is not None and not 0 < self.full_scale < math.inf:
-            raise InvalidInputError(
-                f"full_scale must be positive and finite, got {self.full_scale}"
-            )
-        if not math.isfinite(self.snr_cap_db):
-            raise InvalidInputError(f"snr_cap_db must be finite, got {self.snr_cap_db}")
-        object.__setattr__(self, "max_frames", _as_int(self.max_frames, "max_frames"))
-        if self.max_frames < 1:
-            raise InvalidInputError(f"max_frames must be positive, got {self.max_frames}")
+        if self.full_scale is not None:
+            full_scale = _as_float(self.full_scale, "full_scale", 0, above=True)
+            object.__setattr__(self, "full_scale", full_scale)
+        object.__setattr__(self, "snr_cap_db", _as_float(self.snr_cap_db, "snr_cap_db"))
+        object.__setattr__(self, "max_frames", _as_int(self.max_frames, "max_frames", 1))
 
     def full_scale_for(self, bit_depth: int) -> float:
         if self.full_scale is not None:
@@ -163,9 +151,9 @@ class MeasureConfig:
     def from_dict(cls, d: dict) -> "MeasureConfig":
         filt = d.get("filter")
         return cls(
-            full_scale=None if d.get("full_scale") is None else float(d["full_scale"]),
+            full_scale=d.get("full_scale"),
             max_frames=d["max_frames"],
-            snr_cap_db=float(d["snr_cap_db"]),
+            snr_cap_db=d["snr_cap_db"],
             filter=None if filt is None else dsp.FilterSpec.from_dict(filt),
         )
 
@@ -198,10 +186,10 @@ class Measurement:
             if not isinstance(d[key], bool):
                 raise InvalidInputError(f"{key} must be true or false, got {d[key]!r}")
         return cls(
-            v_ref=float(d["v_ref"]),
-            v_n=float(d["v_n"]),
-            snr_db=float(d["snr_db"]),
-            error_margin=float(d["error_margin"]),
+            v_ref=_as_float(d["v_ref"], "v_ref"),
+            v_n=_as_float(d["v_n"], "v_n", 0),
+            snr_db=_as_float(d["snr_db"], "snr_db"),
+            error_margin=_as_float(d["error_margin"], "error_margin", 0),
             n_samples=_as_int(d["n_samples"], "n_samples"),
             filtered=d["filtered"],
             frames_used=_as_int(d["frames_used"], "frames_used"),
@@ -233,8 +221,7 @@ def estimate_reference_level(line: LineRecord) -> float:
 
 def noise_rms(line: LineRecord, v_ref: float) -> float:
     """Noise RMS over the window: sqrt(sum((x - v_ref)^2) / (N - 1))."""
-    if not math.isfinite(v_ref):
-        raise InvalidInputError(f"v_ref must be finite, got {v_ref}")
+    v_ref = _as_float(v_ref, "v_ref")
     values = line.window_samples()
     return math.sqrt(float(_squared_deviation(values, v_ref)) / (values.size - 1))
 
@@ -245,8 +232,7 @@ def snr_db(v_n: float, config: MeasureConfig, bit_depth: int = 8) -> tuple[float
     ``20 * log10(full_scale / v_n)`` for positive noise; zero noise returns
     the configured cap with ``saturated`` set.
     """
-    if v_n < 0:
-        raise InvalidInputError(f"noise RMS cannot be negative, got {v_n}")
+    v_n = _as_float(v_n, "noise RMS", 0)
     if v_n == 0.0:
         return (config.snr_cap_db, True)
     return (20.0 * math.log10(config.full_scale_for(bit_depth) / v_n), False)
@@ -254,11 +240,7 @@ def snr_db(v_n: float, config: MeasureConfig, bit_depth: int = 8) -> tuple[float
 
 def error_margin(v_n: float, n_samples: int) -> float:
     """Statistical error of the noise estimate: v_n / sqrt(n_samples)."""
-    if n_samples < 1:
-        raise InvalidInputError(f"n_samples must be at least 1, got {n_samples}")
-    if v_n < 0:
-        raise InvalidInputError(f"noise RMS cannot be negative, got {v_n}")
-    return v_n / math.sqrt(n_samples)
+    return _as_float(v_n, "noise RMS", 0) / math.sqrt(_as_int(n_samples, "n_samples", 1))
 
 
 def error_margin_db(n_samples: int) -> float:
@@ -268,9 +250,7 @@ def error_margin_db(n_samples: int) -> float:
     v_n / sqrt(N) code units is 20 / (ln 10 * sqrt(N)) dB regardless of
     the noise level.
     """
-    if n_samples < 1:
-        raise InvalidInputError(f"n_samples must be at least 1, got {n_samples}")
-    return 20.0 / (_LN10 * math.sqrt(n_samples))
+    return 20.0 / (_LN10 * math.sqrt(_as_int(n_samples, "n_samples", 1)))
 
 
 def measure_line(line: LineRecord, config: MeasureConfig | None = None) -> Measurement:
@@ -380,6 +360,7 @@ def psnr(
     bits_per_pixel = _as_int(bits_per_pixel, "bits_per_pixel")
     if not 1 <= bits_per_pixel <= 16:
         raise InvalidInputError(f"bits_per_pixel must be 1..16, got {bits_per_pixel}")
+    cap_db = _as_float(cap_db, "cap_db")
 
     diff = a.astype(np.float64) - b.astype(np.float64)
     sq = np.square(diff)

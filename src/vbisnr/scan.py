@@ -21,12 +21,14 @@ from .errors import (
     CaptureFormatError,
     InvalidInputError,
     MeasurementImpossibleError,
+    _as_float,
 )
 from .measure import MeasureConfig, Measurement, accumulate, error_margin_db
 
 STATUS_MEASURED = "measured"
 STATUS_NO_CAPTURE = "no-capture"
 STATUS_SKIPPED = "unsynchronized-skipped"
+_STATUSES = (STATUS_MEASURED, STATUS_NO_CAPTURE, STATUS_SKIPPED)
 
 _CSV_COLUMNS = (
     "designation",
@@ -48,13 +50,17 @@ class ChannelEntry:
     video_carrier_mhz: float
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.designation, str) and isinstance(self.name, str)):
+            raise InvalidInputError("channel designation and name must be strings")
         if not self.designation:
             raise InvalidInputError("channel designation may not be empty")
-        if not 40.0 < self.video_carrier_mhz < 1000.0:
+        carrier = _as_float(self.video_carrier_mhz, "video_carrier_mhz")
+        if not 40.0 < carrier < 1000.0:
             raise InvalidInputError(
-                f"channel {self.designation}: carrier {self.video_carrier_mhz} MHz "
+                f"channel {self.designation}: carrier {carrier} MHz "
                 "outside the supported (40, 1000) MHz range"
             )
+        object.__setattr__(self, "video_carrier_mhz", carrier)
 
 
 @dataclass(frozen=True)
@@ -78,12 +84,20 @@ class ScanRow:
     snr2: Measurement | None
     status: str
 
+    def __post_init__(self) -> None:
+        if self.status not in _STATUSES:
+            raise InvalidInputError(f"unknown scan status {self.status!r}")
+
 
 @dataclass(frozen=True)
 class ScanReport:
     rows: tuple[ScanRow, ...]
     config: MeasureConfig
     timestamp: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.timestamp, str):
+            raise InvalidInputError(f"timestamp must be a string, got {self.timestamp!r}")
 
 
 def parse_plan(text: str) -> ChannelPlan:
@@ -238,7 +252,7 @@ def report_from_json(text: str) -> ScanReport:
                 channel=ChannelEntry(
                     designation=ch["designation"],
                     name=ch["name"],
-                    video_carrier_mhz=float(ch["video_carrier_mhz"]),
+                    video_carrier_mhz=ch["video_carrier_mhz"],
                 ),
                 snr1=None if ch["snr1"] is None else Measurement.from_dict(ch["snr1"]),
                 snr2=None if ch["snr2"] is None else Measurement.from_dict(ch["snr2"]),

@@ -8,14 +8,13 @@ plus optional interfering sinusoids, quantized to the code range.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .capture import CaptureFile, CaptureHeader
-from .errors import InvalidInputError
-from .measure import _as_int, default_window
+from .errors import InvalidInputError, _as_float, _as_int
+from .measure import default_window
 
 
 @dataclass(frozen=True)
@@ -54,25 +53,21 @@ class SynthConfig:
         )
         object.__setattr__(self, "header", header)
         max_code = (1 << header.bit_depth) - 1
-        if not 0 <= self.black_level <= max_code:
+        if not 0 <= _as_float(self.black_level, "black_level") <= max_code:
             raise InvalidInputError(
                 f"black_level {self.black_level} outside the 0..{max_code} code range"
             )
-        if not 0 <= self.noise_sigma < math.inf:
-            raise InvalidInputError(
-                f"noise_sigma must be non-negative and finite, got {self.noise_sigma}"
-            )
-        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
-        if self.seed < 0:
-            raise InvalidInputError("seed must be a non-negative integer")
+        _as_float(self.noise_sigma, "noise_sigma", 0)
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))
         for spec in self.interferers:
             if len(spec) != 3:
                 raise InvalidInputError(
                     "interferers must be (frequency_hz, amplitude, phase) triples"
                 )
-            freq, amp, phase = spec
-            if not (0 < freq < math.inf and 0 <= amp < math.inf and math.isfinite(phase)):
-                raise InvalidInputError(f"bad interferer {spec}")
+            bad = f"bad interferer {spec}:"
+            _as_float(spec[0], f"{bad} frequency_hz", 0, above=True)
+            _as_float(spec[1], f"{bad} amplitude", 0)
+            _as_float(spec[2], f"{bad} phase")
 
 
 # Frames are drawn and quantized in blocks of at least this many samples,
@@ -98,7 +93,7 @@ def synthesize(config: SynthConfig) -> CaptureFile:
     header = config.header
     spl = header.samples_per_line
     max_code = (1 << header.bit_depth) - 1
-    t = np.arange(spl, dtype=np.float64) / config.sample_rate_hz
+    t = np.arange(spl, dtype=np.float64) / header.sample_rate_hz
 
     base = np.full(spl, config.black_level, dtype=np.float64)
     for freq, amp, phase in config.interferers:

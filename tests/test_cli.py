@@ -21,7 +21,7 @@ from vbisnr import (
     read_capture,
     write_capture,
 )
-from vbisnr.cli import main
+from vbisnr.cli import main, run
 
 from conftest import DATA_DIR
 
@@ -341,6 +341,18 @@ class TestPsnr:
         ) == 1
         assert "neither" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_non_positive_plane_size_is_exit_one(self, tmp_path, capsys, sidecar):
+        a = tmp_path / "a.raw"
+        write_plane(a, np.zeros(25))
+        argv = ["psnr", "--original", str(a), "--decoded", str(a)]
+        if sidecar:
+            (tmp_path / "a.raw.hdr").write_text("width=-5\nheight=-5\n")
+        else:
+            argv += ["--width", "-5", "--height", "-5"]
+        assert main(argv) == 1
+        assert "error: width must be at least 1" in capsys.readouterr().err
+
 
 class TestSpectrum:
     def test_dc_line_peaks_at_row_zero(self, tmp_path, capsys):
@@ -395,6 +407,18 @@ class TestPlanValidate:
 
     def test_missing_plan_file_is_io_failure(self, tmp_path):
         assert main(["plan-validate", "--plan", str(tmp_path / "nope.csv")]) == 2
+
+
+def test_console_script_entry_exits_with_the_status(clean_file, monkeypatch, capsys):
+    # run() is what the installed ``vbisnr`` script calls: it reads sys.argv
+    # and exits with main()'s status.
+    for extra, status in (([], 0), (["--filter", "on", "--cutoff-hz", "nan"], 1)):
+        argv = ["vbisnr", "measure", "--in", str(clean_file), *extra]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exit_info:
+            run()
+        assert exit_info.value.code == status
+    assert "cutoff_hz must be positive" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_exit_one(capsys):

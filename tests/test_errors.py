@@ -1,0 +1,149 @@
+"""The one rule that admits numbers, at every setting, header, line and report field.
+
+Each site takes a finite number in its range: a bool (numpy's too), numeric text, NaN,
+infinity or a value below the range is invalid input that names the field,
+while numpy scalars and a Python int where a float is expected are numbers.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from vbisnr import (
+    CaptureHeader,
+    ChannelEntry,
+    FilterSpec,
+    InvalidInputError,
+    LineRecord,
+    MeasureConfig,
+    Measurement,
+    SynthConfig,
+    design_lowpass,
+    error_margin,
+    error_margin_db,
+    extract_vbi_lines,
+    line_spectrum,
+    noise_rms,
+    psnr,
+    render_report,
+    report_from_json,
+    snr_db,
+    synthesize,
+)
+from vbisnr.scan import ScanReport, ScanRow
+
+ROW = np.full(64, 60, dtype=np.uint8)
+CAPTURE = synthesize(SynthConfig(frames=1, samples_per_line=64))
+PLANE = np.zeros((4, 4), dtype=np.uint8)
+MEASUREMENT = Measurement(60.0, 2.19, 40.0, 0.01, 44580, False, 30, False).as_dict()
+REPORT = json.loads(render_report(
+    ScanReport(
+        rows=(ScanRow(ChannelEntry("S02", "TVR1", 112.25), None, None, "no-capture"),),
+        config=MeasureConfig(),
+        timestamp="2026-01-01T00:00:00+00:00",
+    ),
+    "json",
+))
+
+
+def _report_with_carrier(value):
+    payload = json.loads(json.dumps(REPORT))
+    payload["channels"][0]["video_carrier_mhz"] = value
+    return report_from_json(json.dumps(payload, default=float))  # np.float32 as a number
+
+
+def _measurement_with(key):
+    return lambda value: Measurement.from_dict({**MEASUREMENT, key: value})
+
+
+# (call with the value, the field its message names, a value below the range
+# or None, a valid value). A float site also takes that value as an int and
+# as np.float32; an integer site takes it as np.int64.
+FLOAT_SITES = {
+    "FilterSpec.cutoff_hz": (lambda v: FilterSpec(cutoff_hz=v), "cutoff_hz", 0, 2e6),
+    "FilterSpec.transition_hz": (
+        lambda v: FilterSpec(transition_hz=v), "transition_hz", 0, 5e5),
+    "FilterSpec.stopband_atten_db": (
+        lambda v: FilterSpec(stopband_atten_db=v), "stopband_atten_db", 10, 60),
+    "FilterSpec.from_dict": (
+        lambda v: FilterSpec.from_dict({**FilterSpec().as_dict(), "cutoff_hz": v}),
+        "cutoff_hz", -1, 2e6),
+    "design_lowpass": (
+        lambda v: design_lowpass(FilterSpec(), v), "sample_rate_hz", 0, 13.5e6),
+    "MeasureConfig.full_scale": (
+        lambda v: MeasureConfig(full_scale=v), "full_scale", 0, 219),
+    "MeasureConfig.snr_cap_db": (
+        lambda v: MeasureConfig(snr_cap_db=v), "snr_cap_db", None, 100),
+    "MeasureConfig.from_dict": (
+        lambda v: MeasureConfig.from_dict({**MeasureConfig().as_dict(), "full_scale": v}),
+        "full_scale", -1, 219),
+    "Measurement.from_dict.v_ref": (_measurement_with("v_ref"), "v_ref", None, 60),
+    "Measurement.from_dict.v_n": (_measurement_with("v_n"), "v_n", -1, 2),
+    "Measurement.from_dict.snr_db": (_measurement_with("snr_db"), "snr_db", None, 40),
+    "Measurement.from_dict.error_margin": (
+        _measurement_with("error_margin"), "error_margin", -1, 1),
+    "LineRecord.sample_rate_hz": (
+        lambda v: LineRecord(ROW, sample_rate_hz=v), "sample_rate_hz", 0, 13.5e6),
+    "CaptureHeader.sample_rate_hz": (
+        lambda v: CaptureHeader(64, 2, 1, sample_rate_hz=v), "sample_rate_hz", 0, 13.5e6),
+    "SynthConfig.black_level": (
+        lambda v: SynthConfig(black_level=v), "black_level", -1, 60),
+    "SynthConfig.noise_sigma": (
+        lambda v: SynthConfig(noise_sigma=v), "noise_sigma", -1, 2),
+    "SynthConfig.interferer_frequency": (
+        lambda v: SynthConfig(interferers=((v, 1.0, 0.0),)), "frequency_hz", 0, 5.5e6),
+    "SynthConfig.interferer_amplitude": (
+        lambda v: SynthConfig(interferers=((5.5e6, v, 0.0),)), "amplitude", -1, 10),
+    "SynthConfig.interferer_phase": (
+        lambda v: SynthConfig(interferers=((5.5e6, 1.0, v),)), "phase", None, 1),
+    "ChannelEntry.video_carrier_mhz": (
+        lambda v: ChannelEntry("S02", "TVR1", v), "carrier", 40, 112.25),
+    "report_from_json.video_carrier_mhz": (
+        _report_with_carrier, "carrier", 30, 112.25),
+    "noise_rms.v_ref": (lambda v: noise_rms(LineRecord(ROW), v), "v_ref", None, 60),
+    "snr_db.v_n": (lambda v: snr_db(v, MeasureConfig()), "noise RMS", -1, 2),
+    "error_margin.v_n": (lambda v: error_margin(v, 100), "noise RMS", -1, 2),
+    "psnr.cap_db": (lambda v: psnr(PLANE, PLANE, cap_db=v), "cap_db", None, 100),
+}
+INT_SITES = {
+    "LineRecord.line_index": (lambda v: LineRecord(ROW, line_index=v), "line_index", -1, 3),
+    "LineRecord.frame_index": (
+        lambda v: LineRecord(ROW, frame_index=v), "frame_index", -1, 3),
+    "LineRecord.window_start": (lambda v: LineRecord(ROW, window=(v, 60)), "window", -1, 8),
+    "LineRecord.window_end": (lambda v: LineRecord(ROW, window=(8, v)), "window", -1, 60),
+    "extract_vbi_lines.window_override": (
+        lambda v: extract_vbi_lines(CAPTURE, window_override=(v, 60)), "window", -1, 8),
+    "error_margin.n_samples": (lambda v: error_margin(2.0, v), "n_samples", 0, 100),
+    "error_margin_db.n_samples": (lambda v: error_margin_db(v), "n_samples", 0, 100),
+    "line_spectrum.fft_size": (
+        lambda v: line_spectrum(LineRecord(ROW), v), "fft_size", 0, 64),
+}
+
+
+def _rejected():
+    for name, (call, field, below, _) in {**FLOAT_SITES, **INT_SITES}.items():
+        for value in (True, np.True_, "1.5", math.nan, math.inf, below):
+            if value is not None:
+                yield pytest.param(call, field, value, id=f"{name}-{value!r}")
+
+
+def _accepted():
+    for sites, kinds in ((FLOAT_SITES, (int, np.float32)), (INT_SITES, (np.int64,))):
+        for name, (call, _, _, good) in sites.items():
+            for kind in kinds:
+                yield pytest.param(call, kind(good), id=f"{name}-{kind.__name__}")
+
+
+@pytest.mark.parametrize("call,field,value", _rejected())
+def test_non_number_or_out_of_range_names_the_field(call, field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        call(value)
+
+
+@pytest.mark.parametrize("call,value", _accepted())
+def test_numpy_scalars_and_ints_are_numbers(call, value):
+    call(value)

@@ -307,6 +307,11 @@ class TestRender:
             ('"saturated": true', '"saturated": 1'),
             ('"n_samples": 44580', '"n_samples": 44580.7'),
             ('"frames_used": 30', '"frames_used": "30"'),
+            ('"designation": "S02"', '"designation": 5'),
+            ('"name": "TVR1"', '"name": null'),
+            ('"timestamp": "2026-01-01T00:00:00+00:00"', '"timestamp": 7'),
+            ('"status": "measured"', '"status": 3'),
+            ('"status": "measured"', '"status": "bogus"'),
         ],
     )
     def test_malformed_report_numbers_rejected(self, good, bad):
