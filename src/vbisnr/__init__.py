@@ -33,6 +33,7 @@ from .errors import (
 )
 from .measure import (
     FULL_SCALE_8BIT,
+    LineBlock,
     LineRecord,
     MeasureConfig,
     Measurement,
@@ -70,6 +71,7 @@ __all__ = [
     "FULL_SCALE_8BIT",
     "FilterSpec",
     "InvalidInputError",
+    "LineBlock",
     "LineRecord",
     "MeasureConfig",
     "Measurement",

@@ -5,6 +5,8 @@ A capture is a self-describing binary file: the magic bytes ``VBI1``, a
 then the raw sample payload, line-major within frame-major order. Samples
 occupy one byte up to 8-bit depth and two little-endian, LSB-aligned bytes
 above that. Write then read is bit-identical on every valid file.
+:func:`extract_vbi_lines` gathers the VBI lines of the selected frames into
+one :class:`~vbisnr.measure.LineBlock` for measurement.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import CaptureFormatError, InvalidInputError, MeasurementImpossibleError
 from .errors import _as_float, _as_int
-from .measure import LineRecord, _admit_codes, default_window
+from .measure import LineBlock, _admit_codes
 
 MAGIC = b"VBI1"
 FORMAT_VERSION = 1
@@ -78,8 +80,27 @@ class CaptureHeader:
             raise InvalidInputError("lines_per_frame and frames must be positive")
         rate = _as_float(self.sample_rate_hz, "sample_rate_hz", 0, above=True)
         object.__setattr__(self, "sample_rate_hz", rate)
-        if "\n" in self.channel_label:
+        label = self.channel_label
+        if not isinstance(label, str):
+            raise InvalidInputError(f"channel_label must be a string, got {label!r}")
+        if "\n" in label:
             raise InvalidInputError("channel_label may not contain newlines")
+        try:
+            extra = dict(self.extra)
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"extra must map strings to strings, got {self.extra!r}"
+            ) from None
+        for key, value in extra.items():
+            if not (isinstance(key, str) and isinstance(value, str)):
+                raise InvalidInputError(
+                    f"extra metadata entry {key!r}={value!r} is not a pair of strings"
+                )
+            if key in _HEADER_FIELDS:
+                raise InvalidInputError(f"extra metadata key {key!r} shadows a header field")
+            if "\n" in key or "\n" in value or "=" in key:
+                raise InvalidInputError(f"extra metadata entry {key!r} is not encodable")
+        object.__setattr__(self, "extra", extra)
         idx = tuple(_as_int(i, "VBI line index") for i in self.vbi_line_indices)
         if len(set(idx)) != len(idx):
             raise InvalidInputError("vbi_line_indices contains duplicates")
@@ -129,13 +150,7 @@ class CaptureFile:
 
 def _serialize_header(header: CaptureHeader) -> bytes:
     lines = [f"{k}={write(getattr(header, k))}" for k, (_, write) in _HEADER_FIELDS.items()]
-    for key in sorted(header.extra):
-        if key in _HEADER_FIELDS:
-            raise InvalidInputError(f"extra metadata key {key!r} shadows a header field")
-        value = header.extra[key]
-        if "\n" in key or "\n" in value or "=" in key:
-            raise InvalidInputError(f"extra metadata entry {key!r} is not encodable")
-        lines.append(f"{key}={value}")
+    lines += [f"{key}={header.extra[key]}" for key in sorted(header.extra)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -226,18 +241,19 @@ def extract_vbi_lines(
     capture: CaptureFile,
     frame_range=None,
     window_override: tuple[int, int] | None = None,
-) -> list[LineRecord]:
-    """LineRecords for every (frame, VBI line) pair of the capture.
+) -> LineBlock:
+    """The VBI lines of the selected frames, gathered as one :class:`LineBlock`.
 
     ``frame_range`` may be ``None`` (all frames), a half-open
     ``(start, stop)`` tuple, which must lie within the capture, or an
-    integer n (the first n frames, capped at what the capture holds). Frame
-    order is preserved. Without ``window_override`` each record gets the
-    default measurement window for the line length.
+    integer n (the first n frames, capped at what the capture holds). Rows
+    are frame-major: each frame's VBI lines in header order. Without
+    ``window_override`` the block gets the default measurement window for
+    the line length.
     """
     header = capture.header
     if frame_range is None:
-        frames = range(header.frames)
+        start, stop = 0, header.frames
     elif isinstance(frame_range, tuple):
         if len(frame_range) != 2:
             raise InvalidInputError(f"frame range must be (start, stop): {frame_range}")
@@ -246,31 +262,25 @@ def extract_vbi_lines(
             raise InvalidInputError(
                 f"frame range [{start}, {stop}) outside capture of {header.frames} frames"
             )
-        frames = range(start, stop)
     else:
-        count = _as_int(frame_range, "frame count", 1)
-        frames = range(min(count, header.frames))
+        start, stop = 0, min(_as_int(frame_range, "frame count", 1), header.frames)
 
-    if not header.vbi_line_indices:
+    vbi = header.vbi_line_indices
+    if not vbi:
         raise MeasurementImpossibleError(
             "capture designates no VBI lines; record clean blanked lines "
             "(no teletext or test inserts) and list them in vbi_line_indices"
         )
 
-    window = window_override if window_override is not None else default_window(
-        header.samples_per_line
+    # Indexing copies just the measured rows. (np.take would first copy the
+    # whole frame range of a 10-bit map, whose payload need not be aligned.)
+    rows = capture.samples[start:stop, list(vbi)].reshape(-1, header.samples_per_line)
+    rows.flags.writeable = False
+    return LineBlock(
+        samples=rows,
+        frame_indices=tuple(f for f in range(start, stop) for _ in vbi),
+        line_indices=vbi * (stop - start),
+        bit_depth=header.bit_depth,
+        sample_rate_hz=header.sample_rate_hz,
+        window=window_override,
     )
-    records = []
-    for f in frames:
-        for idx in header.vbi_line_indices:
-            records.append(
-                LineRecord(
-                    samples=capture.samples[f, idx],
-                    bit_depth=header.bit_depth,
-                    sample_rate_hz=header.sample_rate_hz,
-                    line_index=idx,
-                    frame_index=f,
-                    window=window,
-                )
-            )
-    return records

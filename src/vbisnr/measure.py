@@ -8,7 +8,10 @@ SNR in dB against the nominal full-scale video amplitude, the statistical
 error margin of the estimate, multi-frame accumulation, and PSNR between
 pixel planes.
 
-The windows are gathered once, one int64 block per window length. Raw
+A measurement's lines come as a :class:`LineBlock`, the rows
+``extract_vbi_lines`` gathers from a capture, or as :class:`LineRecord`
+objects, one per line. Either way the windows are gathered once, one int64
+block per window length (a block has one window, so one copy). Raw
 statistics are their exact integer moments, so one division and one square
 root are the only roundings. Filtered statistics filter each block row by
 row and combine per-line sums of squared deviations with ``math.fsum``.
@@ -19,8 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+import operator
+from collections.abc import Iterable, Sequence
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -51,17 +55,45 @@ def _admit_codes(samples: np.ndarray, bit_depth: int, dtype: np.dtype) -> np.nda
     if samples.dtype.kind not in "iu":
         raise InvalidInputError("samples must be integer ADC codes")
     # Scan only the bounds the dtype can break: none for uint8, the maximum
-    # for <u2. Both callers reject an empty array first.
+    # for <u2; an empty array has none.
     signed = samples.dtype.kind == "i"
     value_bits = 8 * samples.dtype.itemsize - signed
-    if (signed and samples.min() < 0) or (
-        value_bits > bit_depth and samples.max() >= 1 << bit_depth
+    if samples.size and (
+        (signed and samples.min() < 0)
+        or (value_bits > bit_depth and samples.max() >= 1 << bit_depth)
     ):
         raise InvalidInputError(f"sample values exceed the {bit_depth}-bit code range")
     if samples.flags.writeable or samples.dtype != dtype:
         samples = samples.astype(dtype)
         samples.flags.writeable = False
     return samples
+
+
+def _line_format(bit_depth, sample_rate_hz) -> tuple[int, float]:
+    # The ADC format of a line or a block: 8..10-bit codes at a positive rate.
+    bit_depth = _as_int(bit_depth, "bit_depth")
+    if not 8 <= bit_depth <= 10:
+        raise InvalidInputError(f"bit_depth must be 8..10, got {bit_depth}")
+    return bit_depth, _as_float(sample_rate_hz, "sample_rate_hz", 0, above=True)
+
+
+def _check_window(window, n_samples: int, line_frame) -> tuple[int, int]:
+    # ``window``, or the default one, as a (start, end) pair of at least 2
+    # samples within an ``n_samples``-long line. A misfit names the
+    # ``(line_index, frame_index)`` pair, when one is given.
+    if window is None:
+        window = default_window(n_samples)
+    try:
+        start, end = window
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"window {window!r} is not a (start, end) pair") from None
+    start, end = _as_int(start, "window start"), _as_int(end, "window end")
+    fits = 0 <= start < end <= n_samples
+    if not fits or end - start < 2:
+        where = "line {} frame {}: ".format(*line_frame) if line_frame else ""
+        fault = "is shorter than 2 samples" if fits else f"does not fit a {n_samples}-sample line"
+        raise InvalidInputError(f"{where}window [{start}, {end}) {fault}")
+    return (start, end)
 
 
 @dataclass(frozen=True)
@@ -85,35 +117,76 @@ class LineRecord:
         arr = np.asarray(self.samples)
         if arr.ndim != 1:
             raise InvalidInputError("samples must be one-dimensional")
-        bit_depth = _as_int(self.bit_depth, "bit_depth")
-        if not 8 <= bit_depth <= 10:
-            raise InvalidInputError(f"bit_depth must be 8..10, got {bit_depth}")
-        rate = _as_float(self.sample_rate_hz, "sample_rate_hz", 0, above=True)
+        bit_depth, rate = _line_format(self.bit_depth, self.sample_rate_hz)
         _as_int(self.line_index, "line_index", 0)
         _as_int(self.frame_index, "frame_index", 0)
-        window = self.window if self.window is not None else default_window(arr.size)
-        try:
-            start, end = window
-        except (TypeError, ValueError):
-            raise InvalidInputError(f"window {window!r} is not a (start, end) pair") from None
-        start, end = _as_int(start, "window start"), _as_int(end, "window end")
-        if not (0 <= start < end <= arr.size):
-            raise InvalidInputError(
-                f"line {self.line_index} frame {self.frame_index}: window "
-                f"[{start}, {end}) does not fit a {arr.size}-sample line"
-            )
-        if end - start < 2:
-            raise InvalidInputError(
-                f"line {self.line_index} frame {self.frame_index}: window "
-                f"[{start}, {end}) is shorter than 2 samples"
-            )
+        window = _check_window(self.window, arr.size, (self.line_index, self.frame_index))
         object.__setattr__(self, "samples", _admit_codes(arr, bit_depth, arr.dtype))
         object.__setattr__(self, "sample_rate_hz", rate)
-        object.__setattr__(self, "window", (start, end))
+        object.__setattr__(self, "window", window)
 
     def window_samples(self) -> np.ndarray:
         start, end = self.window
         return self.samples[start:end]
+
+
+@dataclass(frozen=True, eq=False)
+class LineBlock(Sequence):
+    """Equally long lines of one ADC format and one window, as one block.
+
+    ``samples`` is a read-only ``(rows, samples_per_line)`` array of ADC
+    codes; row ``i`` is line ``line_indices[i]`` of frame
+    ``frame_indices[i]``. ``window`` applies to every row and defaults to
+    :func:`default_window` of the line length. The block is checked once,
+    here, by the rules of :class:`LineRecord`, and it reads as a sequence
+    of :class:`LineRecord`: one is built from a row view when asked for,
+    and a slice is a block.
+    """
+
+    samples: np.ndarray
+    frame_indices: tuple[int, ...]
+    line_indices: tuple[int, ...]
+    bit_depth: int = 8
+    sample_rate_hz: float = 13.5e6
+    window: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.samples)
+        if arr.ndim != 2:
+            raise InvalidInputError("samples must be a (rows, samples_per_line) array")
+        bit_depth, rate = _line_format(self.bit_depth, self.sample_rate_hz)
+        for key in ("frame_indices", "line_indices"):
+            indices = tuple(_as_int(i, key, 0) for i in getattr(self, key))
+            if len(indices) != len(arr):
+                raise InvalidInputError(f"{len(indices)} {key} for {len(arr)} rows")
+            object.__setattr__(self, key, indices)
+        first = (self.line_indices[0], self.frame_indices[0]) if len(arr) else None
+        window = _check_window(self.window, arr.shape[1], first)
+        object.__setattr__(self, "samples", _admit_codes(arr, bit_depth, arr.dtype))
+        object.__setattr__(self, "bit_depth", bit_depth)
+        object.__setattr__(self, "sample_rate_hz", rate)
+        object.__setattr__(self, "window", window)
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(
+                self,
+                samples=self.samples[index],
+                frame_indices=self.frame_indices[index],
+                line_indices=self.line_indices[index],
+            )
+        index = operator.index(index)
+        return LineRecord(
+            samples=self.samples[index],
+            bit_depth=self.bit_depth,
+            sample_rate_hz=self.sample_rate_hz,
+            line_index=self.line_indices[index],
+            frame_index=self.frame_indices[index],
+            window=self.window,
+        )
 
 
 @dataclass(frozen=True)
@@ -258,44 +331,53 @@ def measure_line(line: LineRecord, config: MeasureConfig | None = None) -> Measu
     return accumulate([line], config)
 
 
-def accumulate(
-    lines: Iterable[LineRecord], config: MeasureConfig | None = None
-) -> Measurement:
-    """Pool the window samples of several lines into one measurement.
-
-    All samples form one population, gathered once into an int64 block per
-    window length: the reference level is their unfiltered mean, and the
-    noise RMS and its error margin run over all of them. At most
-    ``config.max_frames`` distinct frames; any line order gives the same bits.
-    """
-    if config is None:
-        config = MeasureConfig()
+def _window_blocks(lines: LineBlock | Iterable[LineRecord]):
+    # (bit_depth, sample_rate_hz, frames_used, one int64 copy of the windows
+    # per window length, shortest first, so that a too-short window is
+    # reported the same way in any line order).
+    if isinstance(lines, LineBlock):
+        if not len(lines):
+            raise InvalidInputError("no lines to accumulate")
+        start, end = lines.window
+        block = lines.samples[:, start:end].astype(np.int64)
+        return lines.bit_depth, lines.sample_rate_hz, len(set(lines.frame_indices)), [block]
     lines = list(lines)
     if not lines:
         raise InvalidInputError("no lines to accumulate")
-
     bit_depths = {line.bit_depth for line in lines}
     if len(bit_depths) > 1:
         raise InvalidInputError(f"mixed bit depths in accumulation: {sorted(bit_depths)}")
     rates = {line.sample_rate_hz for line in lines}
     if len(rates) > 1:
         raise InvalidInputError(f"mixed sample rates in accumulation: {sorted(rates)}")
-    bit_depth = bit_depths.pop()
-    sample_rate_hz = rates.pop()
-
-    frames_used = len({line.frame_index for line in lines})
-    if frames_used > config.max_frames:
-        raise InvalidInputError(
-            f"{frames_used} frames exceed the {config.max_frames}-frame limit"
-        )
-
-    # One int64 copy of the windows, one block per window length, shortest
-    # first, so a too-short window is reported the same way in any line order.
     views = sorted((line.window_samples() for line in lines), key=len)
     blocks = [
         np.concatenate(list(group), dtype=np.int64).reshape(-1, size)
         for size, group in itertools.groupby(views, key=len)
     ]
+    return bit_depths.pop(), rates.pop(), len({line.frame_index for line in lines}), blocks
+
+
+def accumulate(
+    lines: LineBlock | Iterable[LineRecord], config: MeasureConfig | None = None
+) -> Measurement:
+    """Pool the window samples of several lines into one measurement.
+
+    ``lines`` is a :class:`LineBlock`, as :func:`extract_vbi_lines` returns,
+    or any iterable of :class:`LineRecord`. All samples form one population,
+    gathered once into an int64 block per window length: the reference level
+    is their unfiltered mean, and the noise RMS and its error margin run over
+    all of them. At most ``config.max_frames`` distinct frames; any line
+    order, and either form of the same lines, gives the same bits.
+    """
+    if config is None:
+        config = MeasureConfig()
+    bit_depth, sample_rate_hz, frames_used, blocks = _window_blocks(lines)
+    if frames_used > config.max_frames:
+        raise InvalidInputError(
+            f"{frames_used} frames exceed the {config.max_frames}-frame limit"
+        )
+
     n = sum(b.size for b in blocks)
     total = sum(int(b.sum()) for b in blocks)
     v_ref = total / n

@@ -23,9 +23,9 @@ class SynthConfig:
 
     ``interferers`` is a tuple of (frequency_hz, amplitude, phase_radians)
     sinusoids added to every line, e.g. a 5.5e6 Hz entry to imitate a
-    PAL B/G sound carrier. ``sync`` prepends a sync-tip plus color-burst
-    region over the first 12% of each line, which the default measurement
-    window excludes. Identical configs produce bit-identical captures.
+    PAL B/G sound carrier. ``sync``, a bool, prepends a sync-tip plus
+    color-burst region over the first 12% of each line, which the default
+    measurement window excludes. Identical configs produce bit-identical captures.
     ``header`` is the capture's header, built and so checked at construction.
     """
 
@@ -59,11 +59,17 @@ class SynthConfig:
             )
         _as_float(self.noise_sigma, "noise_sigma", 0)
         object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))
-        for spec in self.interferers:
+        if not isinstance(self.sync, bool):
+            raise InvalidInputError(f"sync must be true or false, got {self.sync!r}")
+        triples = "interferers must be (frequency_hz, amplitude, phase) triples"
+        try:
+            specs = tuple(tuple(spec) for spec in self.interferers)
+        except TypeError:
+            raise InvalidInputError(f"{triples}, got {self.interferers!r}") from None
+        object.__setattr__(self, "interferers", specs)
+        for spec in specs:
             if len(spec) != 3:
-                raise InvalidInputError(
-                    "interferers must be (frequency_hz, amplitude, phase) triples"
-                )
+                raise InvalidInputError(triples)
             bad = f"bad interferer {spec}:"
             _as_float(spec[0], f"{bad} frequency_hz", 0, above=True)
             _as_float(spec[1], f"{bad} amplitude", 0)

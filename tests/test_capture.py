@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import os
 import struct
@@ -15,6 +16,7 @@ from vbisnr import (
     CaptureFormatError,
     CaptureHeader,
     InvalidInputError,
+    LineBlock,
     MeasurementImpossibleError,
     SynthConfig,
     extract_vbi_lines,
@@ -241,6 +243,70 @@ class TestExtract:
     def test_non_integer_frame_selection_rejected(self, clean_capture, frame_range):
         with pytest.raises(InvalidInputError):
             extract_vbi_lines(clean_capture, frame_range=frame_range)
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    def test_one_read_only_block_in_frame_major_order(self, bit_depth):
+        cap = small_capture(bit_depth=bit_depth, frames=3)
+        cap = CaptureFile(cap.header, np.arange(3 * 3 * 64).reshape(3, 3, 64) % 200)
+        block = extract_vbi_lines(cap, frame_range=(1, 3))
+        assert isinstance(block, LineBlock)
+        assert block.samples.shape == (4, 64)
+        assert block.samples.dtype == cap.header.sample_dtype
+        assert not block.samples.flags.writeable
+        assert block.frame_indices == (1, 1, 2, 2)
+        assert block.line_indices == (0, 2, 0, 2)
+        expected = [cap.samples[f, i] for f in (1, 2) for i in (0, 2)]
+        assert np.array_equal(block.samples, expected)
+        assert (block.bit_depth, block.sample_rate_hz) == (bit_depth, 13.5e6)
+
+    @pytest.mark.parametrize("frame_range", [None, 4, (5, 9)])
+    def test_block_reads_as_records(self, clean_capture, frame_range):
+        block = extract_vbi_lines(clean_capture, frame_range)
+        frames = {None: range(30), 4: range(4), (5, 9): range(5, 9)}[frame_range]
+        pairs = [(f, i) for f in frames for i in (0, 1)]
+        assert isinstance(block, collections.abc.Sequence)
+        assert len(block) == len(pairs)
+        records = list(block)
+        for record, (f, i) in zip(records, pairs):
+            assert (record.frame_index, record.line_index) == (f, i)
+            assert record.window == (104, 847)
+            assert record.bit_depth == 8 and record.sample_rate_hz == 13.5e6
+            assert np.array_equal(record.samples, clean_capture.samples[f, i])
+        last = block[-1]
+        assert (last.frame_index, last.line_index) == pairs[-1]
+        assert np.array_equal(last.samples, records[-1].samples)
+        with pytest.raises(IndexError):
+            block[len(pairs)]
+        tail = block[2:]
+        assert isinstance(tail, LineBlock) and len(tail) == len(pairs) - 2
+        assert tail.frame_indices == tuple(f for f, _ in pairs[2:])
+        assert [r.frame_index for r in block[::-1]] == [f for f, _ in reversed(pairs)]
+
+    def test_too_short_override_fails_at_extract(self, clean_capture):
+        with pytest.raises(
+            InvalidInputError, match=r"line 0 frame 5: window \[100, 101\) is shorter than 2"
+        ):
+            extract_vbi_lines(clean_capture, frame_range=(5, 7), window_override=(100, 101))
+        with pytest.raises(InvalidInputError, match=r"window \[100, 900\) does not fit a 864"):
+            extract_vbi_lines(clean_capture, window_override=(100, 900))
+
+    @pytest.mark.parametrize("label", ["", "x"])
+    def test_mapped_gather_copies_only_the_measured_rows(self, tmp_path, label):
+        # A payload starts right after the header, so one of these labels
+        # leaves the two-byte samples of a 10-bit file unaligned.
+        header = CaptureHeader(samples_per_line=64, lines_per_frame=40, frames=1000,
+                               vbi_line_indices=(9, 2), bit_depth=10, channel_label=label)
+        samples = np.full((1000, 40, 64), 600, dtype="<u2")
+        write_capture(CaptureFile(header, samples), tmp_path / "c.vbi")
+        mapped = read_capture(tmp_path / "c.vbi")
+        tracemalloc.start()
+        try:
+            block = extract_vbi_lines(mapped)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.samples.shape == (2000, 64) and np.all(block.samples == 600)
+        assert peak < header.payload_bytes // 4
 
     def test_no_vbi_lines_is_actionable(self):
         header = CaptureHeader(

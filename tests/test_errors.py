@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from vbisnr import (
+    CaptureFile,
     CaptureHeader,
     ChannelEntry,
     FilterSpec,
@@ -33,6 +34,7 @@ from vbisnr import (
     report_from_json,
     snr_db,
     synthesize,
+    write_capture,
 )
 from vbisnr.scan import ScanReport, ScanRow
 
@@ -147,3 +149,51 @@ def test_non_number_or_out_of_range_names_the_field(call, field, value):
 @pytest.mark.parametrize("call,value", _accepted())
 def test_numpy_scalars_and_ints_are_numbers(call, value):
     call(value)
+
+
+def _write_header(tmp_path, **kw):
+    header = CaptureHeader(64, 2, 1, **kw)
+    write_capture(CaptureFile(header, np.zeros((1, 2, 64), dtype=np.uint8)), tmp_path / "c.vbi")
+
+
+# Text fields take a str and nothing else, checked when the header is built.
+TEXT_CASES = {
+    "CaptureHeader.channel_label": (
+        lambda _: CaptureHeader(64, 2, 1, channel_label=5), "channel_label must be a string"),
+    "SynthConfig.channel_label": (
+        lambda _: SynthConfig(channel_label=None), "channel_label must be a string"),
+    "write_capture.extra_value": (
+        lambda tmp: _write_header(tmp, extra={"k": 5}), "'k'=5 is not a pair of strings"),
+    "CaptureHeader.extra_key": (
+        lambda _: CaptureHeader(64, 2, 1, extra={5: "v"}), "5='v' is not a pair of strings"),
+    "CaptureHeader.extra_not_a_mapping": (
+        lambda _: CaptureHeader(64, 2, 1, extra=5), "extra must map strings to strings"),
+    "CaptureHeader.extra_newline": (
+        lambda _: CaptureHeader(64, 2, 1, extra={"k": "a\nb"}), "'k' is not encodable"),
+    "CaptureHeader.extra_shadows": (
+        lambda _: CaptureHeader(64, 2, 1, extra={"frames": "2"}), "shadows a header field"),
+}
+
+
+@pytest.mark.parametrize("call,message", TEXT_CASES.values(), ids=TEXT_CASES)
+def test_header_text_fields_must_be_strings(tmp_path, call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call(tmp_path)
+
+
+@pytest.mark.parametrize("sync", ["no", 1, None, np.True_])
+def test_sync_must_be_a_bool(sync):
+    with pytest.raises(InvalidInputError, match="sync must be true or false"):
+        SynthConfig(sync=sync)
+
+
+@pytest.mark.parametrize("interferers", [(5.5e6, 10.0, 0.0), 5, ((5.5e6, 10.0),), "abc"])
+def test_interferers_must_be_triples(interferers):
+    with pytest.raises(InvalidInputError, match=r"\(frequency_hz, amplitude, phase\) triples"):
+        SynthConfig(interferers=interferers)
+
+
+def test_interferers_are_held_as_tuples():
+    config = SynthConfig(interferers=[[5.5e6, 10.0, 0.0]])
+    assert config.interferers == ((5.5e6, 10.0, 0.0),)
+    assert config == SynthConfig(interferers=((5.5e6, 10.0, 0.0),))

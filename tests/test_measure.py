@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import random
 import statistics
 
 import numpy as np
@@ -13,6 +15,7 @@ from vbisnr import (
     CaptureFile,
     CaptureHeader,
     InvalidInputError,
+    LineBlock,
     LineRecord,
     MeasureConfig,
     MeasurementImpossibleError,
@@ -81,10 +84,12 @@ class TestLineRecord:
             LineRecord(samples=np.zeros(64, dtype=np.uint8), sample_rate_hz=rate)
 
     def test_mapped_line_is_a_read_only_view(self, tmp_path, clean_capture):
+        # A record keeps a mapped row as it is; extract_vbi_lines instead
+        # copies the measured rows into one block (see TestLineBlock).
         path = tmp_path / "c.vbi"
         write_capture(clean_capture, path)
         capture = read_capture(path)
-        line = extract_vbi_lines(capture)[0]
+        line = LineRecord(capture.samples[0, 1])
         assert not line.samples.flags.writeable
         assert line.samples.dtype == np.uint8
         assert np.shares_memory(line.samples, capture.samples)
@@ -96,6 +101,61 @@ class TestLineRecord:
         assert not line.samples.flags.writeable
         assert line.samples.dtype == np.int32
         assert np.all(line.samples == 60)
+
+
+class TestLineBlock:
+    ROWS = np.full((4, 64), 60, dtype=np.uint8)
+
+    def block(self, samples=None, **kw):
+        kw = {"frame_indices": (0, 0, 1, 1), "line_indices": (3, 5, 3, 5), **kw}
+        return LineBlock(self.ROWS if samples is None else samples, **kw)
+
+    def test_samples_are_read_only(self):
+        source = np.full((4, 64), 60, dtype=np.int32)
+        block = self.block(source)
+        source[:] = 0  # a writable input is copied
+        assert np.all(block.samples == 60) and block.samples.dtype == np.int32
+        with pytest.raises(ValueError, match="read-only"):
+            block.samples[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            block[0].samples[0] = 1
+
+    def test_records_are_views_of_the_block(self):
+        block = self.block()
+        assert np.shares_memory(block[2].samples, block.samples)
+        assert np.shares_memory(block[1:].samples, block.samples)
+
+    def test_checks_follow_the_record_rules(self):
+        with pytest.raises(InvalidInputError, match="rows, samples_per_line"):
+            self.block(self.ROWS[0])
+        with pytest.raises(InvalidInputError, match="3 frame_indices for 4 rows"):
+            self.block(frame_indices=(0, 0, 1))
+        with pytest.raises(InvalidInputError, match="line_indices must be at least 0"):
+            self.block(line_indices=(3, -5, 3, 5))
+        with pytest.raises(InvalidInputError, match="frame_indices must be an integer"):
+            self.block(frame_indices=(0, True, 1, 1))
+        with pytest.raises(InvalidInputError, match="bit_depth must be 8..10"):
+            self.block(bit_depth=12)
+        with pytest.raises(InvalidInputError, match="exceed the 8-bit code range"):
+            self.block(np.full((4, 64), 256, dtype=np.uint16))
+        with pytest.raises(
+            InvalidInputError, match=r"line 3 frame 0: window \[0, 65\) does not fit"
+        ):
+            self.block(window=(0, 65))
+
+    def test_numbers_are_normalized(self):
+        block = self.block(frame_indices=np.arange(4), bit_depth=np.int64(9),
+                           sample_rate_hz=np.float32(13.5e6))
+        assert block.frame_indices == (0, 1, 2, 3)
+        assert type(block.frame_indices[0]) is int and type(block.bit_depth) is int
+        assert type(block.sample_rate_hz) is float
+        assert block.window == default_window(64)
+
+    def test_empty_block_has_nothing_to_accumulate(self):
+        empty = self.block()[4:]
+        assert isinstance(empty, LineBlock) and len(empty) == 0
+        with pytest.raises(InvalidInputError, match="no lines to accumulate"):
+            accumulate(empty)
 
 
 class TestReferenceLevel:
@@ -316,6 +376,42 @@ class TestAccumulate:
         assert widened[0].samples.dtype == np.int32
         assert accumulate(widened, config) == m
         assert accumulate(widened) == accumulate(lines)
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    @pytest.mark.parametrize("frame_range", [None, 5, (3, 11)])
+    @pytest.mark.parametrize("window", [None, (150, 800)])
+    def test_block_and_records_give_the_same_bits(self, bit_depth, frame_range, window):
+        scale = 1 << (bit_depth - 8)
+        capture = synthesize(SynthConfig(
+            black_level=60.0 * scale, noise_sigma=SIGMA * scale, seed=11,
+            interferers=((SOUND_CARRIER_HZ, 10.0 * scale, 0.0),),
+            bit_depth=bit_depth, frames=12, lines_per_frame=4,
+        ))
+        # Lines out of order and not adjacent, so the gather is no plain slice.
+        header = dataclasses.replace(capture.header, vbi_line_indices=(3, 0, 2))
+        capture = CaptureFile(header, capture.samples)
+        block = extract_vbi_lines(capture, frame_range, window)
+        records = list(block)
+        shuffled = random.Random(5).sample(records, len(records))
+        # The records extract_vbi_lines built one by one: mapped rows.
+        frames = {None: range(12), 5: range(5), (3, 11): range(3, 11)}[frame_range]
+        built = [
+            LineRecord(capture.samples[f, i], bit_depth=bit_depth, line_index=i,
+                       frame_index=f, window=window)
+            for f in frames for i in (3, 0, 2)
+        ]
+        for config in (MeasureConfig(), MeasureConfig(filter=FilterSpec())):
+            m = accumulate(block, config)
+            assert m.frames_used == len(frames)
+            assert accumulate(records, config) == m
+            assert accumulate(shuffled, config) == m
+            assert accumulate(built, config) == m
+
+    def test_block_frame_limit_counts_distinct_frames(self, clean_capture):
+        block = extract_vbi_lines(clean_capture)
+        assert accumulate(block).frames_used == 30
+        with pytest.raises(InvalidInputError, match="30 frames exceed the 29-frame limit"):
+            accumulate(block, MeasureConfig(max_frames=29))
 
     def test_filtered_short_window_reported_in_any_order(self):
         config = MeasureConfig(filter=FilterSpec())
