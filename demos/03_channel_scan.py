@@ -2,8 +2,9 @@
 
 Each channel in a plan maps to a capture file named <designation>.vbi.
 This demo writes a small plan and a capture per channel (with a different
-sound-carrier level on each, and two channels deliberately missing), scans
-the set, and prints the human-readable table plus the CSV export.
+sound-carrier level on each, and two channels deliberately missing) into a
+temporary directory, scans the set, and prints the human-readable table plus
+the CSV export. The directory is removed when the scan is done.
 """
 
 import tempfile
@@ -32,24 +33,24 @@ C07,Antena1,189.25
 AMPLITUDES = {"S02": 10.0, "S03": 4.0, "C06": 17.0}
 
 plan = parse_plan(PLAN)
-workdir = Path(tempfile.mkdtemp(prefix="vbisnr-scan-"))
-for i, (designation, amplitude) in enumerate(AMPLITUDES.items()):
-    capture = synthesize(
-        SynthConfig(
-            noise_sigma=2.19,
-            seed=500 + i,
-            interferers=((5.5e6, amplitude, 0.0),),
-            channel_label=designation,
+with tempfile.TemporaryDirectory(prefix="vbisnr-scan-") as tmp:
+    workdir = Path(tmp)
+    for i, (designation, amplitude) in enumerate(AMPLITUDES.items()):
+        capture = synthesize(
+            SynthConfig(
+                noise_sigma=2.19,
+                seed=500 + i,
+                interferers=((5.5e6, amplitude, 0.0),),
+                channel_label=designation,
+            )
         )
-    )
-    write_capture(capture, workdir / f"{designation}.vbi")
+        write_capture(capture, workdir / f"{designation}.vbi")
 
-source = {
-    path.stem: read_capture(path) for path in sorted(workdir.glob("*.vbi"))
-}
-report = scan(plan, source)
+    source = {
+        path.stem: read_capture(path) for path in sorted(workdir.glob("*.vbi"))
+    }
+    report = scan(plan, source)
 
 print(render_report(report, "table"))
 print("CSV export:\n")
 print(render_report(report, "csv"))
-print(f"capture files left in {workdir} for inspection")

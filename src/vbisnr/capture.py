@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CaptureFormatError, InvalidInputError, MeasurementImpossibleError
-from .errors import _as_float, _as_int
-from .measure import LineBlock, _admit_codes
+from .errors import CaptureFormatError, InvalidInputError, MeasurementImpossibleError, _as_int
+from .measure import LineBlock, _admit_codes, _line_format
 
 MAGIC = b"VBI1"
 FORMAT_VERSION = 1
@@ -72,14 +71,12 @@ class CaptureHeader:
         for key, (parse, _) in _HEADER_FIELDS.items():
             if parse is int:
                 object.__setattr__(self, key, _as_int(getattr(self, key), key))
-        if not 8 <= self.bit_depth <= 10:
-            raise InvalidInputError(f"bit_depth must be 8..10, got {self.bit_depth}")
+        _, rate = _line_format(self.bit_depth, self.sample_rate_hz)
+        object.__setattr__(self, "sample_rate_hz", rate)
         if self.samples_per_line < 16:
             raise InvalidInputError("samples_per_line must be at least 16")
         if self.lines_per_frame < 1 or self.frames < 1:
             raise InvalidInputError("lines_per_frame and frames must be positive")
-        rate = _as_float(self.sample_rate_hz, "sample_rate_hz", 0, above=True)
-        object.__setattr__(self, "sample_rate_hz", rate)
         label = self.channel_label
         if not isinstance(label, str):
             raise InvalidInputError(f"channel_label must be a string, got {label!r}")

@@ -10,17 +10,16 @@ pixel planes.
 
 A measurement's lines come as a :class:`LineBlock`, the rows
 ``extract_vbi_lines`` gathers from a capture, or as :class:`LineRecord`
-objects, one per line. Either way the windows are gathered once, one int64
-block per window length (a block has one window, so one copy). Raw
-statistics are their exact integer moments, so one division and one square
-root are the only roundings. Filtered statistics filter each block row by
+objects, one per line, that share one window length. Either way the windows
+are gathered once, into one int64 block with one row per line. Raw
+statistics are its exact integer moments, so one division and one square
+root are the only roundings. Filtered statistics filter the block row by
 row and combine per-line sums of squared deviations with ``math.fsum``.
 Either way, pooling frames in any order yields bit-identical measurements.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Iterable, Sequence
@@ -70,7 +69,8 @@ def _admit_codes(samples: np.ndarray, bit_depth: int, dtype: np.dtype) -> np.nda
 
 
 def _line_format(bit_depth, sample_rate_hz) -> tuple[int, float]:
-    # The ADC format of a line or a block: 8..10-bit codes at a positive rate.
+    # The ADC format of a line, a block or a capture: 8..10-bit codes at a
+    # positive rate.
     bit_depth = _as_int(bit_depth, "bit_depth")
     if not 8 <= bit_depth <= 10:
         raise InvalidInputError(f"bit_depth must be 8..10, got {bit_depth}")
@@ -96,7 +96,7 @@ def _check_window(window, n_samples: int, line_frame) -> tuple[int, int]:
     return (start, end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineRecord:
     """One digitized video line plus the region to measure.
 
@@ -331,31 +331,28 @@ def measure_line(line: LineRecord, config: MeasureConfig | None = None) -> Measu
     return accumulate([line], config)
 
 
-def _window_blocks(lines: LineBlock | Iterable[LineRecord]):
-    # (bit_depth, sample_rate_hz, frames_used, one int64 copy of the windows
-    # per window length, shortest first, so that a too-short window is
-    # reported the same way in any line order).
+def _window_block(lines: LineBlock | Iterable[LineRecord]):
+    # (bit_depth, sample_rate_hz, frames_used, one int64 copy of the windows,
+    # one row per line).
     if isinstance(lines, LineBlock):
         if not len(lines):
             raise InvalidInputError("no lines to accumulate")
         start, end = lines.window
         block = lines.samples[:, start:end].astype(np.int64)
-        return lines.bit_depth, lines.sample_rate_hz, len(set(lines.frame_indices)), [block]
+        return lines.bit_depth, lines.sample_rate_hz, len(set(lines.frame_indices)), block
     lines = list(lines)
     if not lines:
         raise InvalidInputError("no lines to accumulate")
-    bit_depths = {line.bit_depth for line in lines}
-    if len(bit_depths) > 1:
-        raise InvalidInputError(f"mixed bit depths in accumulation: {sorted(bit_depths)}")
-    rates = {line.sample_rate_hz for line in lines}
-    if len(rates) > 1:
-        raise InvalidInputError(f"mixed sample rates in accumulation: {sorted(rates)}")
-    views = sorted((line.window_samples() for line in lines), key=len)
-    blocks = [
-        np.concatenate(list(group), dtype=np.int64).reshape(-1, size)
-        for size, group in itertools.groupby(views, key=len)
-    ]
-    return bit_depths.pop(), rates.pop(), len({line.frame_index for line in lines}), blocks
+    for what, values in (
+        ("bit depths", {line.bit_depth for line in lines}),
+        ("sample rates", {line.sample_rate_hz for line in lines}),
+        ("window lengths", {line.window[1] - line.window[0] for line in lines}),
+    ):
+        if len(values) > 1:
+            raise InvalidInputError(f"mixed {what} in accumulation: {sorted(values)}")
+    frames_used = len({line.frame_index for line in lines})
+    block = np.array([line.window_samples() for line in lines], dtype=np.int64)
+    return lines[0].bit_depth, lines[0].sample_rate_hz, frames_used, block
 
 
 def accumulate(
@@ -364,47 +361,44 @@ def accumulate(
     """Pool the window samples of several lines into one measurement.
 
     ``lines`` is a :class:`LineBlock`, as :func:`extract_vbi_lines` returns,
-    or any iterable of :class:`LineRecord`. All samples form one population,
-    gathered once into an int64 block per window length: the reference level
-    is their unfiltered mean, and the noise RMS and its error margin run over
-    all of them. At most ``config.max_frames`` distinct frames; any line
-    order, and either form of the same lines, gives the same bits.
+    or any iterable of :class:`LineRecord` whose windows share one length.
+    All samples form one population, gathered once into one int64 block:
+    the reference level is their unfiltered mean, and the noise RMS and its
+    error margin run over all of them. At most ``config.max_frames`` distinct
+    frames; any line order, and either form of the same lines, gives the
+    same bits.
     """
     if config is None:
         config = MeasureConfig()
-    bit_depth, sample_rate_hz, frames_used, blocks = _window_blocks(lines)
+    bit_depth, sample_rate_hz, frames_used, block = _window_block(lines)
     if frames_used > config.max_frames:
         raise InvalidInputError(
             f"{frames_used} frames exceed the {config.max_frames}-frame limit"
         )
 
-    n = sum(b.size for b in blocks)
-    total = sum(int(b.sum()) for b in blocks)
+    n = block.size
+    total = int(block.sum())
     v_ref = total / n
 
     if config.filter is not None:
         taps = dsp.design_lowpass(config.filter, sample_rate_hz)
-        n = 0
-        line_sums = []
-        for block in blocks:
-            try:
-                y = dsp.apply_filter(block, taps)
-            except InvalidInputError as exc:
-                raise MeasurementImpossibleError(
-                    f"measurement window too short for the {len(taps)}-tap filter: {exc}"
-                ) from exc
-            n += y.size
-            line_sums.extend(_squared_deviation(y, v_ref).tolist())
+        try:
+            y = dsp.apply_filter(block, taps)
+        except InvalidInputError as exc:
+            raise MeasurementImpossibleError(
+                f"measurement window too short for the {len(taps)}-tap filter: {exc}"
+            ) from exc
+        n = y.size
         # Each line's sum depends only on that line, and fsum over them gives
         # the same bits in any line order.
-        ss = math.fsum(line_sums)
+        ss = math.fsum(_squared_deviation(y, v_ref).tolist())
         # Filtering narrows the noise bandwidth; dividing by the filter's white
         # noise gain refers the in-band RMS back to an equivalent full-band
         # level, keeping filtered and unfiltered readings comparable.
         v_n = math.sqrt(ss / (n - 1)) / dsp.noise_gain(taps)
     else:
         # n*sum(x^2) - sum(x)^2 is exact in Python ints.
-        squares = sum(int(np.vdot(b, b)) for b in blocks)
+        squares = int(np.vdot(block, block))
         v_n = math.sqrt((n * squares - total * total) / (n * (n - 1)))
     snr, saturated = snr_db(v_n, config, bit_depth)
     return Measurement(

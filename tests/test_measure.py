@@ -94,6 +94,22 @@ class TestLineRecord:
         assert line.samples.dtype == np.uint8
         assert np.shares_memory(line.samples, capture.samples)
 
+    def test_equality_is_identity(self, clean_capture):
+        # Records hold arrays, so value equality would be ambiguous; a record
+        # equals itself alone, and containment, counting and hashing work.
+        block = extract_vbi_lines(clean_capture)
+        r = block[0]
+        assert r == r
+        assert not block[0] == block[0]
+        assert hash(r) == hash(r)
+        assert r not in block and block.count(r) == 0
+        with pytest.raises(ValueError):
+            block.index(r)  # each block[i] is a new record: not found
+        records = list(block)
+        assert records[3] in records and records.index(records[3]) == 3
+        assert records.count(records[3]) == 1
+        assert len({*records, *records}) == len(records)
+
     def test_writable_input_is_copied(self):
         source = np.full(64, 60, dtype=np.int32)
         line = LineRecord(samples=source)
@@ -321,10 +337,14 @@ class TestAccumulate:
 
     def test_raw_statistics_are_exactly_rounded(self):
         # statistics.variance works in exact fractions and rounds once, so
-        # its square root and fmean are the exactly rounded oracle. Four
-        # window lengths make the raw moments sum over four blocks.
+        # its square root and fmean are the exactly rounded oracle. The lines
+        # of a measurement share one window, a different one per seed; the
+        # last case pools two equally long windows at different positions.
         windows = [None, (104, 700), (250, 847), (300, 600)]
-        for bit_depth, seed in itertools.product((8, 10), range(60)):
+        cases = [(bit_depth, seed, [windows[seed % 4]])
+                 for bit_depth, seed in itertools.product((8, 10), range(60))]
+        cases += [(bit_depth, 60, [(104, 700), (250, 846)]) for bit_depth in (8, 10)]
+        for bit_depth, seed, shared in cases:
             scale = 1 << (bit_depth - 8)
             config = SynthConfig(
                 black_level=60.0 * scale,
@@ -336,7 +356,7 @@ class TestAccumulate:
             lines = extract_vbi_lines(synthesize(config))
             lines = [
                 LineRecord(line.samples, bit_depth=bit_depth,
-                           frame_index=line.frame_index, window=windows[i % 4])
+                           frame_index=line.frame_index, window=shared[i % len(shared)])
                 for i, line in enumerate(lines)
             ]
             samples = np.concatenate([line.window_samples() for line in lines]).tolist()
@@ -347,35 +367,40 @@ class TestAccumulate:
 
     def test_filtered_mixed_window_lengths(self, interferer_capture):
         # Each line is filtered on its own and its sum of squares taken
-        # alone, so the per-line 1-D path is a bit-exact oracle.
+        # alone, so the per-line 1-D path is a bit-exact oracle. The six
+        # lines share each window in turn; the last case pools two equally
+        # long windows at different positions.
         config = MeasureConfig(filter=FilterSpec())
         taps = design_lowpass(config.filter, 13.5e6)
-        windows = [(104, 847), (104, 700), (300, 847), (104, 847), (250, 600), (104, 700)]
-        lines = [
-            LineRecord(samples=line.samples, frame_index=line.frame_index, window=window)
-            for line, window in zip(extract_vbi_lines(interferer_capture, 3), windows)
-        ]
-        m = accumulate(lines, config)
-        v_ref = statistics.fmean(
-            np.concatenate([line.window_samples() for line in lines]).tolist()
-        )
-        filtered = [apply_filter(line.window_samples(), taps) for line in lines]
-        n = sum(y.size for y in filtered)
-        ss = math.fsum(float(np.sum(np.square(y - v_ref))) for y in filtered)
-        assert m.v_ref == v_ref
-        assert m.n_samples == n == sum(e - s - len(taps) + 1 for s, e in windows)
-        assert m.v_n == math.sqrt(ss / (n - 1)) / noise_gain(taps)
-        assert accumulate(lines[::-1], config) == m
-        # Writable int32 copies of the same rows give the same measurement,
-        # raw and filtered: the result does not depend on the input dtype.
-        widened = [
-            LineRecord(line.samples.astype(np.int32), frame_index=line.frame_index,
-                       window=line.window)
-            for line in lines
-        ]
-        assert widened[0].samples.dtype == np.int32
-        assert accumulate(widened, config) == m
-        assert accumulate(widened) == accumulate(lines)
+        records = list(extract_vbi_lines(interferer_capture, 3))
+        cases = [[window] * 6 for window in [(104, 847), (104, 700), (300, 847), (250, 600)]]
+        cases.append([(104, 700), (250, 846)] * 3)
+        for windows in cases:
+            lines = [
+                LineRecord(samples=line.samples, frame_index=line.frame_index, window=window)
+                for line, window in zip(records, windows)
+            ]
+            m = accumulate(lines, config)
+            v_ref = statistics.fmean(
+                np.concatenate([line.window_samples() for line in lines]).tolist()
+            )
+            filtered = [apply_filter(line.window_samples(), taps) for line in lines]
+            n = sum(y.size for y in filtered)
+            ss = math.fsum(float(np.sum(np.square(y - v_ref))) for y in filtered)
+            assert m.v_ref == v_ref, windows
+            assert m.n_samples == n == sum(e - s - len(taps) + 1 for s, e in windows)
+            assert m.v_n == math.sqrt(ss / (n - 1)) / noise_gain(taps), windows
+            assert accumulate(lines[::-1], config) == m
+            # Writable int32 copies of the same rows give the same measurement,
+            # raw and filtered: the result does not depend on the input dtype.
+            widened = [
+                LineRecord(line.samples.astype(np.int32), frame_index=line.frame_index,
+                           window=line.window)
+                for line in lines
+            ]
+            assert widened[0].samples.dtype == np.int32
+            assert accumulate(widened, config) == m
+            assert accumulate(widened) == accumulate(lines)
 
     @pytest.mark.parametrize("bit_depth", [8, 10])
     @pytest.mark.parametrize("frame_range", [None, 5, (3, 11)])
@@ -415,13 +440,21 @@ class TestAccumulate:
 
     def test_filtered_short_window_reported_in_any_order(self):
         config = MeasureConfig(filter=FilterSpec())
-        lines = [
+        short = [line_of([60] * 864, frame_index=f, window=(0, 60)) for f in range(3)]
+        for order in (short, short[::-1]):
+            with pytest.raises(MeasurementImpossibleError, match="input of 60 samples"):
+                accumulate(order, config)
+        # Lines whose windows differ in length do not pool, whatever the order.
+        mixed = [
             line_of([60] * 864, frame_index=0),
             line_of([60] * 864, frame_index=1, window=(0, 80)),
             line_of([60] * 864, frame_index=2, window=(0, 60)),
         ]
-        for order in (lines, lines[::-1]):
-            with pytest.raises(MeasurementImpossibleError, match="input of 60 samples"):
+        for order in (mixed, mixed[::-1]):
+            with pytest.raises(
+                InvalidInputError,
+                match=r"mixed window lengths in accumulation: \[60, 80, 743\]",
+            ):
                 accumulate(order, config)
 
     def test_empty_input_rejected(self):
