@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -222,22 +222,20 @@ class MeasureConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeasureConfig":
-        filt = d.get("filter")
-        return cls(
-            full_scale=d.get("full_scale"),
-            max_frames=d["max_frames"],
-            snr_cap_db=d["snr_cap_db"],
-            filter=None if filt is None else dsp.FilterSpec.from_dict(filt),
-        )
+        filt = d["filter"]
+        d = {**d, "filter": None if filt is None else dsp.FilterSpec.from_dict(filt)}
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)
 class Measurement:
-    """One SNR measurement result.
+    """One SNR measurement result, checked when it is built.
 
     ``v_ref`` and ``v_n`` are in ADC code units; ``error_margin`` is the
     statistical uncertainty of ``v_n`` (``v_n / sqrt(n_samples)``).
     ``saturated`` is set when zero noise forced the configured SNR cap.
+    The noise RMS divides by N - 1, so ``n_samples`` is at least 2, and
+    ``frames_used`` at least 1.
     """
 
     v_ref: float
@@ -249,25 +247,23 @@ class Measurement:
     frames_used: int
     saturated: bool
 
+    def __post_init__(self) -> None:
+        for key, low in (("v_ref", -math.inf), ("v_n", 0), ("snr_db", -math.inf),
+                         ("error_margin", 0)):
+            object.__setattr__(self, key, _as_float(getattr(self, key), key, low))
+        for key, low in (("n_samples", 2), ("frames_used", 1)):
+            object.__setattr__(self, key, _as_int(getattr(self, key), key, low))
+        for key, value in (("filtered", self.filtered), ("saturated", self.saturated)):
+            if not isinstance(value, bool):
+                raise InvalidInputError(f"{key} must be true or false, got {value!r}")
+
     def as_dict(self) -> dict:
         """The JSON object of ``measure --json``: the fields in declaration order."""
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Measurement":
-        for key in ("filtered", "saturated"):
-            if not isinstance(d[key], bool):
-                raise InvalidInputError(f"{key} must be true or false, got {d[key]!r}")
-        return cls(
-            v_ref=_as_float(d["v_ref"], "v_ref"),
-            v_n=_as_float(d["v_n"], "v_n", 0),
-            snr_db=_as_float(d["snr_db"], "snr_db"),
-            error_margin=_as_float(d["error_margin"], "error_margin", 0),
-            n_samples=_as_int(d["n_samples"], "n_samples"),
-            filtered=d["filtered"],
-            frames_used=_as_int(d["frames_used"], "frames_used"),
-            saturated=d["saturated"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from typing import Mapping
 
 from .capture import CaptureFile, extract_vbi_lines
 from .dsp import FilterSpec
-from .errors import (
-    CaptureFormatError,
-    InvalidInputError,
-    MeasurementImpossibleError,
-    _as_float,
-)
+from .errors import InvalidInputError, MeasurementImpossibleError, _as_float
 from .measure import MeasureConfig, Measurement, accumulate, error_margin_db
 
 STATUS_MEASURED = "measured"
@@ -87,6 +82,16 @@ class ScanRow:
     def __post_init__(self) -> None:
         if self.status not in _STATUSES:
             raise InvalidInputError(f"unknown scan status {self.status!r}")
+        if self.status == STATUS_MEASURED:
+            if not (
+                isinstance(self.snr1, Measurement) and not self.snr1.filtered
+                and isinstance(self.snr2, Measurement) and self.snr2.filtered
+            ):
+                raise InvalidInputError(
+                    "a measured row needs an unfiltered snr1 and a filtered snr2"
+                )
+        elif self.snr1 is not None or self.snr2 is not None:
+            raise InvalidInputError(f"a {self.status} row carries no measurements")
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,9 @@ def scan(
     ``config.filter``, defaulting to the 2 MHz low-pass) from the same
     pooled VBI samples. Channels without captures become no-capture rows;
     captures that cannot be measured are skipped with their own status.
-    A per-channel problem never aborts the scan.
+    A setting that a capture cannot support, such as a cutoff at or above
+    its Nyquist frequency, is invalid input and ends the scan, as it ends
+    a single measurement.
     """
     if len(plan) == 0:
         raise InvalidInputError("cannot scan an empty channel plan")
@@ -155,6 +162,7 @@ def scan(
         config = MeasureConfig()
     filt = config.filter if config.filter is not None else FilterSpec()
     effective = replace(config, filter=filt)
+    raw = replace(config, filter=None)
 
     rows: list[ScanRow] = []
     ordered = sorted(plan.entries, key=lambda e: (e.video_carrier_mhz, e.designation))
@@ -165,9 +173,9 @@ def scan(
             continue
         try:
             lines = extract_vbi_lines(capture, frame_range=config.max_frames)
-            snr1 = accumulate(lines, replace(effective, filter=None))
+            snr1 = accumulate(lines, raw)
             snr2 = accumulate(lines, effective)
-        except (InvalidInputError, MeasurementImpossibleError, CaptureFormatError):
+        except MeasurementImpossibleError:
             rows.append(ScanRow(entry, None, None, STATUS_SKIPPED))
             continue
         rows.append(ScanRow(entry, snr1, snr2, STATUS_MEASURED))
@@ -178,26 +186,17 @@ def scan(
 
 
 def _row_csv_fields(row: ScanRow) -> list[str]:
-    def db_error(m: Measurement | None) -> str:
-        return "" if m is None else repr(error_margin_db(m.n_samples))
-
-    snr1 = "" if row.snr1 is None else repr(row.snr1.snr_db)
-    snr2 = "" if row.snr2 is None else repr(row.snr2.snr_db)
-    if row.snr1 is not None:
-        n = str(row.snr1.n_samples)
-    elif row.snr2 is not None:
-        n = str(row.snr2.n_samples)
-    else:
-        n = ""
+    channel = [row.channel.designation, row.channel.name, repr(row.channel.video_carrier_mhz)]
+    if row.status != STATUS_MEASURED:
+        return [*channel, "", "", "", "", "", row.status]
+    snr1, snr2 = row.snr1, row.snr2
     return [
-        row.channel.designation,
-        row.channel.name,
-        repr(row.channel.video_carrier_mhz),
-        snr1,
-        snr2,
-        db_error(row.snr1),
-        db_error(row.snr2),
-        n,
+        *channel,
+        repr(snr1.snr_db),
+        repr(snr2.snr_db),
+        repr(error_margin_db(snr1.n_samples)),
+        repr(error_margin_db(snr2.n_samples)),
+        str(snr1.n_samples),
         row.status,
     ]
 
@@ -249,11 +248,7 @@ def report_from_json(text: str) -> ScanReport:
         payload = json.loads(text)
         rows = tuple(
             ScanRow(
-                channel=ChannelEntry(
-                    designation=ch["designation"],
-                    name=ch["name"],
-                    video_carrier_mhz=ch["video_carrier_mhz"],
-                ),
+                channel=ChannelEntry(**{f.name: ch[f.name] for f in fields(ChannelEntry)}),
                 snr1=None if ch["snr1"] is None else Measurement.from_dict(ch["snr1"]),
                 snr2=None if ch["snr2"] is None else Measurement.from_dict(ch["snr2"]),
                 status=ch["status"],

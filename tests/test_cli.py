@@ -225,6 +225,20 @@ class TestScan:
             ["scan", "--plan", str(plan_path), "--captures-dir", str(tmp_path)]
         ) == 1
 
+    def test_cutoff_at_nyquist_is_exit_one(self, tmp_path, capsys):
+        # The setting fails as it fails `measure`; no channel is skipped for it.
+        plan_path = tmp_path / "plan.csv"
+        plan_path.write_text("designation,name,video_carrier_mhz\nS02,TVR1,112.25\n")
+        make_captures(tmp_path, ["S02"])
+        capsys.readouterr()
+        assert main(
+            ["scan", "--plan", str(plan_path), "--captures-dir", str(tmp_path),
+             "--filter-cutoff", "7e6"]
+        ) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "reaches Nyquist (6750000.0 Hz)" in err
+
     def test_missing_captures_dir_is_io_failure(self, tmp_path, plan_text):
         plan_path = tmp_path / "plan.csv"
         plan_path.write_text(plan_text)

@@ -62,6 +62,10 @@ def _measurement_with(key):
     return lambda value: Measurement.from_dict({**MEASUREMENT, key: value})
 
 
+def _built_with(key):
+    return lambda value: Measurement(**{**MEASUREMENT, key: value})
+
+
 # (call with the value, the field its message names, a value below the range
 # or None, a valid value). A float site also takes that value as an int and
 # as np.float32; an integer site takes it as np.int64.
@@ -88,6 +92,10 @@ FLOAT_SITES = {
     "Measurement.from_dict.snr_db": (_measurement_with("snr_db"), "snr_db", None, 40),
     "Measurement.from_dict.error_margin": (
         _measurement_with("error_margin"), "error_margin", -1, 1),
+    "Measurement.v_ref": (_built_with("v_ref"), "v_ref", None, 60),
+    "Measurement.v_n": (_built_with("v_n"), "v_n", -1, 2),
+    "Measurement.snr_db": (_built_with("snr_db"), "snr_db", None, 40),
+    "Measurement.error_margin": (_built_with("error_margin"), "error_margin", -1, 1),
     "LineRecord.sample_rate_hz": (
         lambda v: LineRecord(ROW, sample_rate_hz=v), "sample_rate_hz", 0, 13.5e6),
     "CaptureHeader.sample_rate_hz": (
@@ -119,6 +127,8 @@ INT_SITES = {
     "LineRecord.window_end": (lambda v: LineRecord(ROW, window=(8, v)), "window", -1, 60),
     "extract_vbi_lines.window_override": (
         lambda v: extract_vbi_lines(CAPTURE, window_override=(v, 60)), "window", -1, 8),
+    "Measurement.n_samples": (_built_with("n_samples"), "n_samples", 1, 44580),
+    "Measurement.frames_used": (_built_with("frames_used"), "frames_used", 0, 30),
     "error_margin.n_samples": (lambda v: error_margin(2.0, v), "n_samples", 0, 100),
     "error_margin_db.n_samples": (lambda v: error_margin_db(v), "n_samples", 0, 100),
     "line_spectrum.fft_size": (

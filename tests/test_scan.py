@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,28 @@ class TestScan:
         with pytest.raises(InvalidInputError, match="empty"):
             scan(ChannelPlan(entries=()), {})
 
+    def test_cutoff_at_nyquist_ends_the_scan(self, small_plan):
+        config = MeasureConfig(filter=FilterSpec(cutoff_hz=7e6))
+        with pytest.raises(InvalidInputError, match=r"reaches Nyquist \(6750000.0 Hz\)"):
+            scan(small_plan, {"S02": synthesize(quick_config(seed=1))}, config)
+
+
+class TestScanRow:
+    @pytest.mark.parametrize(
+        "snr1,snr2,status,message",
+        [
+            (None, "snr2", "measured", "needs an unfiltered snr1 and a filtered snr2"),
+            ("snr1", "snr2", "no-capture", "a no-capture row carries no measurements"),
+            ("snr2", "snr1", "measured", "needs an unfiltered snr1 and a filtered snr2"),
+        ],
+        ids=["measured-without-snr1", "no-capture-with-measurements", "swapped"],
+    )
+    def test_status_must_match_measurements(self, snr1, snr2, status, message):
+        report = hand_built_report()
+        pair = {"snr1": report.rows[0].snr1, "snr2": report.rows[0].snr2, None: None}
+        with pytest.raises(InvalidInputError, match=message):
+            ScanRow(report.rows[0].channel, pair[snr1], pair[snr2], status)
+
 
 def hand_built_report():
     entry = ChannelEntry("S02", "TVR1", 112.25)
@@ -231,6 +255,9 @@ PINNED_JSON = """\
   ]
 }
 """
+
+# PINNED_JSON with the measured row's snr1 and snr2 objects swapped.
+SWAPPED_JSON = re.sub(r'"snr([12])"', lambda m: f'"snr{3 - int(m[1])}"', PINNED_JSON)
 
 
 class TestRender:
@@ -312,6 +339,12 @@ class TestRender:
             ('"timestamp": "2026-01-01T00:00:00+00:00"', '"timestamp": 7'),
             ('"status": "measured"', '"status": 3'),
             ('"status": "measured"', '"status": "bogus"'),
+            ('"n_samples": 44580', '"n_samples": 0'),
+            ('"frames_used": 30', '"frames_used": 0'),
+            # A measured row whose snr1 is null: the later duplicate key wins.
+            ('"saturated": true\n      }', '"saturated": true\n      },\n      "snr1": null'),
+            ('"status": "measured"', '"status": "no-capture"'),
+            pytest.param(PINNED_JSON, SWAPPED_JSON, id="snr1-snr2-swapped"),
         ],
     )
     def test_malformed_report_numbers_rejected(self, good, bad):
