@@ -62,12 +62,10 @@ class CaptureHeader:
     bit_depth: int = 8
     sample_rate_hz: float = 13.5e6
     channel_label: str = ""
-    format_version: int = FORMAT_VERSION
+    format_version: int = field(default=FORMAT_VERSION, init=False)
     extra: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.format_version != FORMAT_VERSION:
-            raise InvalidInputError(f"unsupported format_version {self.format_version}")
         for key, (parse, _) in _HEADER_FIELDS.items():
             if parse is int:
                 object.__setattr__(self, key, _as_int(getattr(self, key), key))
@@ -210,7 +208,7 @@ def read_capture(path) -> CaptureFile:
 
 
 def _parse_header(path, text: str) -> CaptureHeader:
-    fields: dict[str, str] = {"channel_label": ""}  # the one key a file may omit
+    fields: dict[str, str] = {}
     # the separator is strictly \n; values may hold any other character
     for raw in text.split("\n"):
         if not raw:
@@ -218,7 +216,10 @@ def _parse_header(path, text: str) -> CaptureHeader:
         if "=" not in raw:
             raise CaptureFormatError(f"{path}: malformed header line {raw!r}")
         key, _, value = raw.partition("=")
+        if key in fields:
+            raise CaptureFormatError(f"{path}: duplicate header field {key!r}")
         fields[key] = value
+    fields.setdefault("channel_label", "")  # the one key a file may omit
 
     parsed = {}
     try:
@@ -226,9 +227,10 @@ def _parse_header(path, text: str) -> CaptureHeader:
             if key not in fields:
                 raise CaptureFormatError(f"{path}: missing header field {key!r}")
             parsed[key] = parse(fields.pop(key))
-            # The version comes first: a later format may carry other keys.
-            if key == "format_version" and parsed[key] != FORMAT_VERSION:
-                raise CaptureFormatError(f"{path}: unknown format_version {parsed[key]}")
+            # The version comes first: a later format may carry other keys. The
+            # header is not given it, as it holds the one version there is.
+            if key == "format_version" and (version := parsed.pop(key)) != FORMAT_VERSION:
+                raise CaptureFormatError(f"{path}: unknown format_version {version}")
         return CaptureHeader(**parsed, extra=fields)
     except (ValueError, InvalidInputError) as exc:
         raise CaptureFormatError(f"{path}: bad header: {exc}") from exc

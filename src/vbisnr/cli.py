@@ -153,8 +153,9 @@ def _cmd_measure(args) -> int:
         raise InvalidInputError(f"--frames may not exceed the {limit}-frame limit")
     if args.frames < 1:
         raise InvalidInputError("--frames must be positive")
-    filt = FilterSpec(cutoff_hz=args.cutoff_hz) if args.filter == "on" else None
-    config = MeasureConfig(filter=filt)
+    # Built in either mode, so a bad --cutoff-hz is invalid input even when unused.
+    filt = FilterSpec(cutoff_hz=args.cutoff_hz)
+    config = MeasureConfig(filter=filt if args.filter == "on" else None)
     capture = read_capture(args.infile)
     lines = extract_vbi_lines(capture, frame_range=args.frames)
     result = accumulate(lines, config)

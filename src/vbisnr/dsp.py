@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,8 +26,6 @@ if TYPE_CHECKING:
 # Magnitudes below this are reported as the floor instead of -inf.
 DB_FLOOR = -200.0
 
-_FILTER_KINDS = ("windowed-sinc-lowpass",)
-
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -35,13 +33,13 @@ class FilterSpec:
 
     The passband ends at ``cutoff_hz``; the stopband starts at
     ``cutoff_hz + transition_hz`` and is at least ``stopband_atten_db``
-    down from there on.
+    down from there on. ``kind`` names the one design there is, so it is fixed.
     """
 
     cutoff_hz: float = 2.0e6
     transition_hz: float = 0.5e6
     stopband_atten_db: float = 60.0
-    kind: str = "windowed-sinc-lowpass"
+    kind: str = field(default="windowed-sinc-lowpass", init=False)
 
     def __post_init__(self) -> None:
         for key, low, above in (
@@ -50,8 +48,6 @@ class FilterSpec:
             ("stopband_atten_db", 20, False),
         ):
             object.__setattr__(self, key, _as_float(getattr(self, key), key, low, above))
-        if self.kind not in _FILTER_KINDS:
-            raise InvalidInputError(f"unknown filter kind {self.kind!r}")
 
     def as_dict(self) -> dict:
         """The JSON object: the fields in declaration order."""
@@ -59,7 +55,10 @@ class FilterSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        spec = cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
+        if d["kind"] != spec.kind:
+            raise InvalidInputError(f"unknown filter kind {d['kind']!r}")
+        return spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +73,10 @@ class Spectrum:
 
     bin_hz: float
     magnitudes_db: np.ndarray
-    window_kind: str = "hann"
-    fft_size: int = 0
+
+    @property
+    def fft_size(self) -> int:
+        return 2 * (len(self.magnitudes_db) - 1)
 
     def frequencies_hz(self) -> np.ndarray:
         return np.arange(len(self.magnitudes_db)) * self.bin_hz
@@ -233,9 +234,4 @@ def line_spectrum(line: "LineRecord", fft_size: int | None = None) -> Spectrum:
     floor = full_scale * 10.0 ** (DB_FLOOR / 20.0)
     db = 20.0 * np.log10(np.maximum(mags, floor) / full_scale)
     db.flags.writeable = False
-    return Spectrum(
-        bin_hz=line.sample_rate_hz / fft_size,
-        magnitudes_db=db,
-        window_kind="hann",
-        fft_size=fft_size,
-    )
+    return Spectrum(bin_hz=line.sample_rate_hz / fft_size, magnitudes_db=db)

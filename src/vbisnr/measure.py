@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -231,31 +231,31 @@ class MeasureConfig:
 class Measurement:
     """One SNR measurement result, checked when it is built.
 
-    ``v_ref`` and ``v_n`` are in ADC code units; ``error_margin`` is the
-    statistical uncertainty of ``v_n`` (``v_n / sqrt(n_samples)``).
-    ``saturated`` is set when zero noise forced the configured SNR cap.
-    The noise RMS divides by N - 1, so ``n_samples`` is at least 2, and
-    ``frames_used`` at least 1.
+    ``v_ref`` and ``v_n`` are in ADC code units. The noise RMS divides by
+    N - 1, so ``n_samples`` is at least 2, and ``frames_used`` at least 1.
+    Two fields are worked out, not given: ``error_margin``, the statistical
+    uncertainty of ``v_n`` (:func:`error_margin`), and ``saturated``, set
+    when zero noise forced the configured SNR cap.
     """
 
     v_ref: float
     v_n: float
     snr_db: float
-    error_margin: float
+    error_margin: float = field(init=False)
     n_samples: int
     filtered: bool
     frames_used: int
-    saturated: bool
+    saturated: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        for key, low in (("v_ref", -math.inf), ("v_n", 0), ("snr_db", -math.inf),
-                         ("error_margin", 0)):
+        for key, low in (("v_ref", -math.inf), ("v_n", 0), ("snr_db", -math.inf)):
             object.__setattr__(self, key, _as_float(getattr(self, key), key, low))
         for key, low in (("n_samples", 2), ("frames_used", 1)):
             object.__setattr__(self, key, _as_int(getattr(self, key), key, low))
-        for key, value in (("filtered", self.filtered), ("saturated", self.saturated)):
-            if not isinstance(value, bool):
-                raise InvalidInputError(f"{key} must be true or false, got {value!r}")
+        if not isinstance(self.filtered, bool):
+            raise InvalidInputError(f"filtered must be true or false, got {self.filtered!r}")
+        object.__setattr__(self, "error_margin", error_margin(self.v_n, self.n_samples))
+        object.__setattr__(self, "saturated", self.v_n == 0.0)
 
     def as_dict(self) -> dict:
         """The JSON object of ``measure --json``: the fields in declaration order."""
@@ -263,7 +263,12 @@ class Measurement:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Measurement":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        result = cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
+        for key in (f.name for f in fields(cls) if not f.init):
+            got, want = d[key], getattr(result, key)
+            if not (isinstance(got, type(want)) and got == want):  # 1 is not true
+                raise InvalidInputError(f"{key} {got!r} disagrees with the computed {want!r}")
+        return result
 
 
 @dataclass(frozen=True)
@@ -386,8 +391,10 @@ def accumulate(
             ) from exc
         n = y.size
         # Each line's sum depends only on that line, and fsum over them gives
-        # the same bits in any line order.
-        ss = math.fsum(_squared_deviation(y, v_ref).tolist())
+        # the same bits in any line order. Codes with no variation carry no
+        # noise, whatever round-off the FFT leaves in ``y``.
+        varies = block.min() < block.max()
+        ss = math.fsum(_squared_deviation(y, v_ref).tolist()) if varies else 0.0
         # Filtering narrows the noise bandwidth; dividing by the filter's white
         # noise gain refers the in-band RMS back to an equivalent full-band
         # level, keeping filtered and unfiltered readings comparable.
@@ -396,16 +403,13 @@ def accumulate(
         # n*sum(x^2) - sum(x)^2 is exact in Python ints.
         squares = int(np.vdot(block, block))
         v_n = math.sqrt((n * squares - total * total) / (n * (n - 1)))
-    snr, saturated = snr_db(v_n, config, bit_depth)
     return Measurement(
         v_ref=v_ref,
         v_n=v_n,
-        snr_db=snr,
-        error_margin=error_margin(v_n, n),
+        snr_db=snr_db(v_n, config, bit_depth)[0],
         n_samples=n,
         filtered=config.filter is not None,
         frames_used=frames_used,
-        saturated=saturated,
     )
 
 

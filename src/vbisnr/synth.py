@@ -52,12 +52,17 @@ class SynthConfig:
             channel_label=self.channel_label,
         )
         object.__setattr__(self, "header", header)
+        for key in ("samples_per_line", "lines_per_frame", "frames", "bit_depth",
+                    "sample_rate_hz"):
+            object.__setattr__(self, key, getattr(header, key))
         max_code = (1 << header.bit_depth) - 1
-        if not 0 <= _as_float(self.black_level, "black_level") <= max_code:
+        black_level = _as_float(self.black_level, "black_level")
+        if not 0 <= black_level <= max_code:
             raise InvalidInputError(
                 f"black_level {self.black_level} outside the 0..{max_code} code range"
             )
-        _as_float(self.noise_sigma, "noise_sigma", 0)
+        object.__setattr__(self, "black_level", black_level)
+        object.__setattr__(self, "noise_sigma", _as_float(self.noise_sigma, "noise_sigma", 0))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))
         if not isinstance(self.sync, bool):
             raise InvalidInputError(f"sync must be true or false, got {self.sync!r}")
@@ -66,14 +71,17 @@ class SynthConfig:
             specs = tuple(tuple(spec) for spec in self.interferers)
         except TypeError:
             raise InvalidInputError(f"{triples}, got {self.interferers!r}") from None
-        object.__setattr__(self, "interferers", specs)
+        admitted = []
         for spec in specs:
             if len(spec) != 3:
                 raise InvalidInputError(triples)
             bad = f"bad interferer {spec}:"
-            _as_float(spec[0], f"{bad} frequency_hz", 0, above=True)
-            _as_float(spec[1], f"{bad} amplitude", 0)
-            _as_float(spec[2], f"{bad} phase")
+            admitted.append((
+                _as_float(spec[0], f"{bad} frequency_hz", 0, above=True),
+                _as_float(spec[1], f"{bad} amplitude", 0),
+                _as_float(spec[2], f"{bad} phase"),
+            ))
+        object.__setattr__(self, "interferers", tuple(admitted))
 
 
 # Frames are drawn and quantized in blocks of at least this many samples,
@@ -135,13 +143,11 @@ def synthesize(config: SynthConfig) -> CaptureFile:
     total = samples.size
 
     extra = {
-        "black_level": repr(float(config.black_level)),
-        "noise_sigma": repr(float(config.noise_sigma)),
+        "black_level": repr(config.black_level),
+        "noise_sigma": repr(config.noise_sigma),
         "seed": str(config.seed),
         "sync": "1" if config.sync else "0",
-        "interferers": ";".join(
-            f"{float(f)!r},{float(a)!r},{float(p)!r}" for f, a, p in config.interferers
-        ),
+        "interferers": ";".join(f"{f!r},{a!r},{p!r}" for f, a, p in config.interferers),
         "clip_count": str(clip_count),
     }
     if clip_count > 0.01 * total:

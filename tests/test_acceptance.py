@@ -196,8 +196,8 @@ def test_criterion_7_format_fidelity(tmp_path, plan_text):
         rows=(
             ScanRow(
                 channel=plan.get("S02"),
-                snr1=Measurement(60.0, 7.4, 29.4, 0.035, 44580, False, 30, False),
-                snr2=Measurement(60.0, 2.19, 40.1, 0.011, 38700, True, 30, False),
+                snr1=Measurement(60.0, 7.4, 29.4, 44580, False, 30),
+                snr2=Measurement(60.0, 2.19, 40.1, 38700, True, 30),
                 status="measured",
             ),
         ),

@@ -7,6 +7,7 @@ import math
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,21 @@ class TestFormatErrors:
         header = "format_version=1\nbit_depth=8\n".encode()
         path.write_bytes(b"VBI1" + struct.pack("<I", len(header)) + header)
         with pytest.raises(CaptureFormatError, match="missing header field"):
+            read_capture(path)
+
+    @pytest.mark.parametrize("line", ["bit_depth=10", "note=b"])
+    def test_duplicate_header_field(self, tmp_path, line):
+        # A key given twice has no one value; the later one must not win.
+        cap = small_capture()
+        path = tmp_path / "d.vbi"
+        write_capture(CaptureFile(replace(cap.header, extra={"note": "a"}), cap.samples), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[4:8])
+        header = blob[8 : 8 + header_len] + f"{line}\n".encode()
+        path.write_bytes(b"VBI1" + struct.pack("<I", len(header)) + header
+                         + blob[8 + header_len :])
+        key = line.partition("=")[0]
+        with pytest.raises(CaptureFormatError, match=f"duplicate header field '{key}'"):
             read_capture(path)
 
     def test_ten_bit_value_overflow_rejected(self, tmp_path):

@@ -100,14 +100,27 @@ class TestMeasure:
         result = json.loads(capsys.readouterr().out)
         assert list(result) == [f.name for f in dataclasses.fields(Measurement)]
 
+    @pytest.mark.parametrize("mode", ["on", "off"])
     @pytest.mark.parametrize("cutoff", ["nan", "inf"])
-    def test_non_finite_cutoff_is_exit_one(self, clean_file, capsys, cutoff):
-        argv = ["measure", "--in", str(clean_file), "--json", "--filter", "on",
+    def test_non_finite_cutoff_is_exit_one(self, clean_file, capsys, cutoff, mode):
+        argv = ["measure", "--in", str(clean_file), "--json", "--filter", mode,
                 "--cutoff-hz", cutoff]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cutoff_hz must be positive" in captured.err
+
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    def test_noise_free_capture_saturates(self, tmp_path, capsys, mode):
+        # The default sigma is 0: every window code is the black level, and
+        # the filter's round-off must not read as noise.
+        path = tmp_path / "z.vbi"
+        assert main(["synth", "--seed", "5", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["measure", "--in", str(path), "--json", "--filter", mode]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["v_n"] == 0.0 and result["error_margin"] == 0.0
+        assert result["snr_db"] == 100.0 and result["saturated"] is True
 
     def test_non_finite_header_rate_is_io_failure(self, clean_file, capsys):
         blob = clean_file.read_bytes()

@@ -96,8 +96,8 @@ class TestDesign:
             FilterSpec(stopband_atten_db=10.0)
         with pytest.raises(InvalidInputError):
             FilterSpec(cutoff_hz=-1.0)
-        with pytest.raises(InvalidInputError):
-            FilterSpec(kind="butterworth")
+        with pytest.raises(InvalidInputError, match="unknown filter kind 'butterworth'"):
+            FilterSpec.from_dict({**FilterSpec().as_dict(), "kind": "butterworth"})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(

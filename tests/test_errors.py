@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from vbisnr.scan import ScanReport, ScanRow
 ROW = np.full(64, 60, dtype=np.uint8)
 CAPTURE = synthesize(SynthConfig(frames=1, samples_per_line=64))
 PLANE = np.zeros((4, 4), dtype=np.uint8)
-MEASUREMENT = Measurement(60.0, 2.19, 40.0, 0.01, 44580, False, 30, False).as_dict()
+MEASUREMENT = Measurement(60.0, 2.0, 40.0, 44580, False, 30)
 REPORT = json.loads(render_report(
     ScanReport(
         rows=(ScanRow(ChannelEntry("S02", "TVR1", 112.25), None, None, "no-capture"),),
@@ -59,11 +60,12 @@ def _report_with_carrier(value):
 
 
 def _measurement_with(key):
-    return lambda value: Measurement.from_dict({**MEASUREMENT, key: value})
+    return lambda value: Measurement.from_dict({**MEASUREMENT.as_dict(), key: value})
 
 
 def _built_with(key):
-    return lambda value: Measurement(**{**MEASUREMENT, key: value})
+    given = {f.name: getattr(MEASUREMENT, f.name) for f in fields(Measurement) if f.init}
+    return lambda value: Measurement(**{**given, key: value})
 
 
 # (call with the value, the field its message names, a value below the range
@@ -90,16 +92,15 @@ FLOAT_SITES = {
     "Measurement.from_dict.v_ref": (_measurement_with("v_ref"), "v_ref", None, 60),
     "Measurement.from_dict.v_n": (_measurement_with("v_n"), "v_n", -1, 2),
     "Measurement.from_dict.snr_db": (_measurement_with("snr_db"), "snr_db", None, 40),
-    "Measurement.from_dict.error_margin": (
-        _measurement_with("error_margin"), "error_margin", -1, 1),
     "Measurement.v_ref": (_built_with("v_ref"), "v_ref", None, 60),
     "Measurement.v_n": (_built_with("v_n"), "v_n", -1, 2),
     "Measurement.snr_db": (_built_with("snr_db"), "snr_db", None, 40),
-    "Measurement.error_margin": (_built_with("error_margin"), "error_margin", -1, 1),
     "LineRecord.sample_rate_hz": (
         lambda v: LineRecord(ROW, sample_rate_hz=v), "sample_rate_hz", 0, 13.5e6),
     "CaptureHeader.sample_rate_hz": (
         lambda v: CaptureHeader(64, 2, 1, sample_rate_hz=v), "sample_rate_hz", 0, 13.5e6),
+    "SynthConfig.sample_rate_hz": (
+        lambda v: SynthConfig(sample_rate_hz=v), "sample_rate_hz", 0, 13.5e6),
     "SynthConfig.black_level": (
         lambda v: SynthConfig(black_level=v), "black_level", -1, 60),
     "SynthConfig.noise_sigma": (
@@ -127,6 +128,12 @@ INT_SITES = {
     "LineRecord.window_end": (lambda v: LineRecord(ROW, window=(8, v)), "window", -1, 60),
     "extract_vbi_lines.window_override": (
         lambda v: extract_vbi_lines(CAPTURE, window_override=(v, 60)), "window", -1, 8),
+    "SynthConfig.samples_per_line": (
+        lambda v: SynthConfig(samples_per_line=v), "samples_per_line", 15, 64),
+    "SynthConfig.lines_per_frame": (
+        lambda v: SynthConfig(lines_per_frame=v), "lines_per_frame", 0, 2),
+    "SynthConfig.frames": (lambda v: SynthConfig(frames=v), "frames", 0, 1),
+    "SynthConfig.bit_depth": (lambda v: SynthConfig(bit_depth=v), "bit_depth", 7, 10),
     "Measurement.n_samples": (_built_with("n_samples"), "n_samples", 1, 44580),
     "Measurement.frames_used": (_built_with("frames_used"), "frames_used", 0, 30),
     "error_margin.n_samples": (lambda v: error_margin(2.0, v), "n_samples", 0, 100),
@@ -159,6 +166,18 @@ def test_non_number_or_out_of_range_names_the_field(call, field, value):
 @pytest.mark.parametrize("call,value", _accepted())
 def test_numpy_scalars_and_ints_are_numbers(call, value):
     call(value)
+
+
+# A field a record works out from the others is no argument. A report whose
+# value disagrees with the worked-out one, in value or in type, is invalid.
+@pytest.mark.parametrize(
+    "key,value",
+    [("error_margin", v) for v in (True, np.True_, "1.5", math.nan, math.inf, -1, 1e-17)]
+    + [("saturated", v) for v in (True, 0, "false", None)],
+)
+def test_worked_out_field_that_disagrees_is_rejected(key, value):
+    with pytest.raises(InvalidInputError, match=f"{key} .* disagrees with the computed"):
+        Measurement.from_dict({**MEASUREMENT.as_dict(), key: value})
 
 
 def _write_header(tmp_path, **kw):
@@ -207,3 +226,22 @@ def test_interferers_are_held_as_tuples():
     config = SynthConfig(interferers=[[5.5e6, 10.0, 0.0]])
     assert config.interferers == ((5.5e6, 10.0, 0.0),)
     assert config == SynthConfig(interferers=((5.5e6, 10.0, 0.0),))
+
+
+def test_synth_config_keeps_what_it_admits():
+    given = SynthConfig(
+        black_level=np.float32(60.5), noise_sigma=np.int64(2),
+        interferers=[[np.float32(5.5e6), 10, np.int64(0)]], samples_per_line=np.int64(64),
+        sample_rate_hz=13_500_000, bit_depth=np.int64(8), frames=np.int64(1),
+        lines_per_frame=np.int64(2),
+    )
+    plain = SynthConfig(
+        black_level=60.5, noise_sigma=2.0, interferers=((5.5e6, 10.0, 0.0),),
+        samples_per_line=64, frames=1,
+    )
+    assert given == plain
+    for f in fields(SynthConfig):
+        assert type(getattr(given, f.name)) is type(getattr(plain, f.name)), f.name
+    assert all(type(v) is float for v in given.interferers[0])
+    a, b = synthesize(given), synthesize(plain)
+    assert a.header == b.header and np.array_equal(a.samples, b.samples)

@@ -18,7 +18,9 @@ from vbisnr import (
     LineBlock,
     LineRecord,
     MeasureConfig,
+    Measurement,
     MeasurementImpossibleError,
+    Spectrum,
     SynthConfig,
     accumulate,
     apply_filter,
@@ -260,6 +262,27 @@ class TestErrorMargin:
         with pytest.raises(InvalidInputError):
             error_margin(1.0, 0)
 
+    def test_a_measurement_works_out_its_margin_and_saturation(self):
+        m = Measurement(60.0, 0.3, 100.0, 38700, True, 30)
+        assert m.error_margin == 0.3 / math.sqrt(38700)
+        assert m.saturated is False
+        assert Measurement(60.0, 0.0, 100.0, 38700, True, 30).saturated is True
+
+
+@pytest.mark.parametrize(
+    "record,given,worked_out",
+    [
+        (Measurement, 6, ["error_margin", "saturated"]),
+        (FilterSpec, 3, ["kind"]),
+        (CaptureHeader, 8, ["format_version"]),
+        (Spectrum, 2, []),
+    ],
+)
+def test_records_take_only_what_they_cannot_work_out(record, given, worked_out):
+    # A field the code can work out, or that has one legal value, is no argument.
+    assert sum(f.init for f in dataclasses.fields(record)) == given
+    assert [f.name for f in dataclasses.fields(record) if not f.init] == worked_out
+
 
 class TestMeasureLine:
     def test_constant_line_saturates(self):
@@ -314,12 +337,14 @@ class TestAccumulate:
         line = extract_vbi_lines(clean_capture)[0]
         assert accumulate([line]) == measure_line(line)
 
-    def test_constant_lines_saturate(self):
+    @pytest.mark.parametrize("filt", [None, FilterSpec()], ids=["raw", "filtered"])
+    def test_constant_lines_saturate(self, filt):
         lines = [
             line_of([60] * 864, frame_index=f, line_index=0) for f in range(30)
         ]
-        m = accumulate(lines)
+        m = accumulate(lines, MeasureConfig(filter=filt))
         assert m.v_n == 0.0 and m.saturated and m.frames_used == 30
+        assert m.snr_db == 100.0 and m.error_margin == 0.0
 
     def test_error_margin_quarter_sample_law(self):
         # pooling 4x the frames should halve the margin, up to noise in v_n

@@ -189,12 +189,10 @@ class TestScanRow:
 def hand_built_report():
     entry = ChannelEntry("S02", "TVR1", 112.25)
     snr1 = Measurement(
-        v_ref=60.0, v_n=7.4, snr_db=29.4, error_margin=0.03,
-        n_samples=44580, filtered=False, frames_used=30, saturated=False,
+        v_ref=60.0, v_n=7.4, snr_db=29.4, n_samples=44580, filtered=False, frames_used=30,
     )
     snr2 = Measurement(
-        v_ref=60.0, v_n=2.2, snr_db=40.1, error_margin=0.01,
-        n_samples=38700, filtered=True, frames_used=30, saturated=False,
+        v_ref=60.0, v_n=2.2, snr_db=40.1, n_samples=38700, filtered=True, frames_used=30,
     )
     return ScanReport(
         rows=(ScanRow(entry, snr1, snr2, "measured"),),
@@ -225,9 +223,9 @@ PINNED_JSON = """\
       "status": "measured",
       "snr1": {
         "v_ref": 60.00493494840736,
-        "v_n": 11.824244476871622,
-        "snr_db": 25.353414285363375,
-        "error_margin": 0.05600197824023588,
+        "v_n": 0.30000000000000004,
+        "snr_db": 57.266457202409114,
+        "error_margin": 0.0014208597855814762,
         "n_samples": 44580,
         "filtered": false,
         "frames_used": 30,
@@ -235,9 +233,9 @@ PINNED_JSON = """\
       },
       "snr2": {
         "v_ref": 60.00493494840736,
-        "v_n": 0.30000000000000004,
+        "v_n": 0.0,
         "snr_db": 100.0,
-        "error_margin": 1e-17,
+        "error_margin": 0.0,
         "n_samples": 38700,
         "filtered": true,
         "frames_used": 30,
@@ -303,15 +301,14 @@ class TestRender:
 
     def test_json_bytes_are_pinned(self):
         # Key order and float repr are part of the format: a round trip
-        # alone would not see either change.
+        # alone would not see either change. snr2 is saturated.
         snr1 = Measurement(
-            v_ref=60.00493494840736, v_n=11.824244476871622, snr_db=25.353414285363375,
-            error_margin=0.05600197824023588, n_samples=44580, filtered=False,
-            frames_used=30, saturated=False,
+            v_ref=60.00493494840736, v_n=0.1 + 0.2, snr_db=57.266457202409114,
+            n_samples=44580, filtered=False, frames_used=30,
         )
         snr2 = Measurement(
-            v_ref=60.00493494840736, v_n=0.1 + 0.2, snr_db=100.0, error_margin=1e-17,
-            n_samples=38700, filtered=True, frames_used=30, saturated=True,
+            v_ref=60.00493494840736, v_n=0.0, snr_db=100.0,
+            n_samples=38700, filtered=True, frames_used=30,
         )
         report = ScanReport(
             rows=(
@@ -328,10 +325,15 @@ class TestRender:
     @pytest.mark.parametrize(
         "good,bad",
         [
-            ('"v_n": 11.824244476871622', '"v_n": "abc"'),
+            ('"v_n": 0.30000000000000004', '"v_n": "abc"'),
             ('"snr_cap_db": 100.0', '"snr_cap_db": "x"'),
             ('"filtered": false', '"filtered": "false"'),
             ('"saturated": true', '"saturated": 1'),
+            # Worked-out fields that disagree with v_n and n_samples.
+            ('"saturated": false', '"saturated": true'),
+            ('"error_margin": 0.0014208597855814762', '"error_margin": 1e-17'),
+            ('"error_margin": 0.0,', '"error_margin": 0,'),
+            ('"kind": "windowed-sinc-lowpass"', '"kind": "butterworth"'),
             ('"n_samples": 44580', '"n_samples": 44580.7'),
             ('"frames_used": 30', '"frames_used": "30"'),
             ('"designation": "S02"', '"designation": 5'),
