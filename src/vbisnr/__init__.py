@@ -42,8 +42,6 @@ from .measure import (
     default_window,
     error_margin,
     error_margin_db,
-    estimate_reference_level,
-    measure_line,
     noise_rms,
     psnr,
     snr_db,
@@ -88,10 +86,8 @@ __all__ = [
     "design_lowpass",
     "error_margin",
     "error_margin_db",
-    "estimate_reference_level",
     "extract_vbi_lines",
     "line_spectrum",
-    "measure_line",
     "noise_gain",
     "noise_rms",
     "parse_plan",

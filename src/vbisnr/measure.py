@@ -8,20 +8,20 @@ SNR in dB against the nominal full-scale video amplitude, the statistical
 error margin of the estimate, multi-frame accumulation, and PSNR between
 pixel planes.
 
-A measurement's lines come as a :class:`LineBlock`, the rows
-``extract_vbi_lines`` gathers from a capture, or as :class:`LineRecord`
-objects, one per line, that share one window length. Either way the windows
-are gathered once, into one int64 block with one row per line. Raw
-statistics are its exact integer moments, so one division and one square
-root are the only roundings. Filtered statistics filter the block row by
-row and combine per-line sums of squared deviations with ``math.fsum``.
-Either way, pooling frames in any order yields bit-identical measurements.
+A measurement's lines are a :class:`LineBlock`: the rows
+``extract_vbi_lines`` gathers from a capture, or :class:`LineRecord`
+objects, one per line, that share one window length, stacked by
+:meth:`LineBlock.stack`. The block's windows are copied once into one int64
+array with one row per line. Raw statistics are its exact integer moments,
+so one division and one square root are the only roundings. Filtered
+statistics filter the array row by row and combine per-line sums of squared
+deviations with ``math.fsum``. Either way, pooling frames in any order
+yields bit-identical measurements.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -118,10 +118,11 @@ class LineRecord:
         if arr.ndim != 1:
             raise InvalidInputError("samples must be one-dimensional")
         bit_depth, rate = _line_format(self.bit_depth, self.sample_rate_hz)
-        _as_int(self.line_index, "line_index", 0)
-        _as_int(self.frame_index, "frame_index", 0)
+        for key in ("line_index", "frame_index"):
+            object.__setattr__(self, key, _as_int(getattr(self, key), key, 0))
         window = _check_window(self.window, arr.size, (self.line_index, self.frame_index))
         object.__setattr__(self, "samples", _admit_codes(arr, bit_depth, arr.dtype))
+        object.__setattr__(self, "bit_depth", bit_depth)
         object.__setattr__(self, "sample_rate_hz", rate)
         object.__setattr__(self, "window", window)
 
@@ -140,7 +141,7 @@ class LineBlock(Sequence):
     :func:`default_window` of the line length. The block is checked once,
     here, by the rules of :class:`LineRecord`, and it reads as a sequence
     of :class:`LineRecord`: one is built from a row view when asked for,
-    and a slice is a block.
+    and a slice is a block. :meth:`stack` builds a block from records.
     """
 
     samples: np.ndarray
@@ -167,6 +168,31 @@ class LineBlock(Sequence):
         object.__setattr__(self, "sample_rate_hz", rate)
         object.__setattr__(self, "window", window)
 
+    @classmethod
+    def stack(cls, records: Iterable[LineRecord]) -> "LineBlock":
+        """Each record's window as a row of one block, whose window is the row.
+
+        The records share one ADC format and one window length, at any
+        position in their lines.
+        """
+        records = list(records)
+        if not records:
+            raise InvalidInputError("no lines to accumulate")
+        for what, values in (
+            ("bit depths", {line.bit_depth for line in records}),
+            ("sample rates", {line.sample_rate_hz for line in records}),
+            ("window lengths", {line.window[1] - line.window[0] for line in records}),
+        ):
+            if len(values) > 1:
+                raise InvalidInputError(f"mixed {what} in accumulation: {sorted(values)}")
+        samples = np.array([line.window_samples() for line in records], dtype=np.int64)
+        samples.flags.writeable = False
+        first = records[0]
+        return cls(samples, frame_indices=tuple(line.frame_index for line in records),
+                   line_indices=tuple(line.line_index for line in records),
+                   bit_depth=first.bit_depth, sample_rate_hz=first.sample_rate_hz,
+                   window=(0, samples.shape[1]))
+
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -178,7 +204,7 @@ class LineBlock(Sequence):
                 frame_indices=self.frame_indices[index],
                 line_indices=self.line_indices[index],
             )
-        index = operator.index(index)
+        index = _as_int(index, "index")
         return LineRecord(
             samples=self.samples[index],
             bit_depth=self.bit_depth,
@@ -287,12 +313,6 @@ def _squared_deviation(values: np.ndarray, v_ref: float) -> np.ndarray:
     return np.sum(np.square(values - v_ref), axis=-1)
 
 
-def estimate_reference_level(line: LineRecord) -> float:
-    """Black level of a blanked line: arithmetic mean over the window."""
-    values = line.window_samples()
-    return int(np.sum(values, dtype=np.int64)) / values.size
-
-
 def noise_rms(line: LineRecord, v_ref: float) -> float:
     """Noise RMS over the window: sqrt(sum((x - v_ref)^2) / (N - 1))."""
     v_ref = _as_float(v_ref, "v_ref")
@@ -300,16 +320,16 @@ def noise_rms(line: LineRecord, v_ref: float) -> float:
     return math.sqrt(float(_squared_deviation(values, v_ref)) / (values.size - 1))
 
 
-def snr_db(v_n: float, config: MeasureConfig, bit_depth: int = 8) -> tuple[float, bool]:
-    """SNR in dB for a noise RMS, as (value, saturated).
+def snr_db(v_n: float, config: MeasureConfig, bit_depth: int = 8) -> float:
+    """SNR in dB for a noise RMS.
 
     ``20 * log10(full_scale / v_n)`` for positive noise; zero noise returns
-    the configured cap with ``saturated`` set.
+    the configured cap.
     """
     v_n = _as_float(v_n, "noise RMS", 0)
     if v_n == 0.0:
-        return (config.snr_cap_db, True)
-    return (20.0 * math.log10(config.full_scale_for(bit_depth) / v_n), False)
+        return config.snr_cap_db
+    return 20.0 * math.log10(config.full_scale_for(bit_depth) / v_n)
 
 
 def error_margin(v_n: float, n_samples: int) -> float:
@@ -327,62 +347,38 @@ def error_margin_db(n_samples: int) -> float:
     return 20.0 / (_LN10 * math.sqrt(_as_int(n_samples, "n_samples", 1)))
 
 
-def measure_line(line: LineRecord, config: MeasureConfig | None = None) -> Measurement:
-    """Measure one line. Equivalent to :func:`accumulate` on a single line."""
-    return accumulate([line], config)
-
-
-def _window_block(lines: LineBlock | Iterable[LineRecord]):
-    # (bit_depth, sample_rate_hz, frames_used, one int64 copy of the windows,
-    # one row per line).
-    if isinstance(lines, LineBlock):
-        if not len(lines):
-            raise InvalidInputError("no lines to accumulate")
-        start, end = lines.window
-        block = lines.samples[:, start:end].astype(np.int64)
-        return lines.bit_depth, lines.sample_rate_hz, len(set(lines.frame_indices)), block
-    lines = list(lines)
-    if not lines:
-        raise InvalidInputError("no lines to accumulate")
-    for what, values in (
-        ("bit depths", {line.bit_depth for line in lines}),
-        ("sample rates", {line.sample_rate_hz for line in lines}),
-        ("window lengths", {line.window[1] - line.window[0] for line in lines}),
-    ):
-        if len(values) > 1:
-            raise InvalidInputError(f"mixed {what} in accumulation: {sorted(values)}")
-    frames_used = len({line.frame_index for line in lines})
-    block = np.array([line.window_samples() for line in lines], dtype=np.int64)
-    return lines[0].bit_depth, lines[0].sample_rate_hz, frames_used, block
-
-
 def accumulate(
     lines: LineBlock | Iterable[LineRecord], config: MeasureConfig | None = None
 ) -> Measurement:
     """Pool the window samples of several lines into one measurement.
 
     ``lines`` is a :class:`LineBlock`, as :func:`extract_vbi_lines` returns,
-    or any iterable of :class:`LineRecord` whose windows share one length.
-    All samples form one population, gathered once into one int64 block:
-    the reference level is their unfiltered mean, and the noise RMS and its
-    error margin run over all of them. At most ``config.max_frames`` distinct
-    frames; any line order, and either form of the same lines, gives the
-    same bits.
+    or any iterable of :class:`LineRecord`, which :meth:`LineBlock.stack`
+    makes one. All samples form one population, copied once into one int64
+    array: the reference level is their unfiltered mean, and the noise RMS
+    and its error margin run over all of them. At most ``config.max_frames``
+    distinct frames; any line order, and either form of the same lines,
+    gives the same bits.
     """
     if config is None:
         config = MeasureConfig()
-    bit_depth, sample_rate_hz, frames_used, block = _window_block(lines)
+    if not isinstance(lines, LineBlock):
+        lines = LineBlock.stack(lines)
+    if not len(lines):
+        raise InvalidInputError("no lines to accumulate")
+    frames_used = len(set(lines.frame_indices))
     if frames_used > config.max_frames:
         raise InvalidInputError(
             f"{frames_used} frames exceed the {config.max_frames}-frame limit"
         )
+    block = lines.samples[:, slice(*lines.window)].astype(np.int64, copy=False)
 
     n = block.size
     total = int(block.sum())
     v_ref = total / n
 
     if config.filter is not None:
-        taps = dsp.design_lowpass(config.filter, sample_rate_hz)
+        taps = dsp.design_lowpass(config.filter, lines.sample_rate_hz)
         try:
             y = dsp.apply_filter(block, taps)
         except InvalidInputError as exc:
@@ -406,7 +402,7 @@ def accumulate(
     return Measurement(
         v_ref=v_ref,
         v_n=v_n,
-        snr_db=snr_db(v_n, config, bit_depth)[0],
+        snr_db=snr_db(v_n, config, lines.bit_depth),
         n_samples=n,
         filtered=config.filter is not None,
         frames_used=frames_used,

@@ -103,6 +103,8 @@ class ScanReport:
     def __post_init__(self) -> None:
         if not isinstance(self.timestamp, str):
             raise InvalidInputError(f"timestamp must be a string, got {self.timestamp!r}")
+        if self.config.filter is None and any(r.status == STATUS_MEASURED for r in self.rows):
+            raise InvalidInputError("a report with measured rows needs the snr2 filter")
 
 
 def parse_plan(text: str) -> ChannelPlan:

@@ -201,7 +201,7 @@ def test_criterion_7_format_fidelity(tmp_path, plan_text):
                 status="measured",
             ),
         ),
-        config=MeasureConfig(),
+        config=MeasureConfig(filter=FilterSpec()),
         timestamp="2026-01-01T00:00:00+00:00",
     )
     table_row = render_report(hand_built, "table").splitlines()[1]

@@ -27,9 +27,7 @@ from vbisnr import (
     default_window,
     design_lowpass,
     error_margin,
-    estimate_reference_level,
     extract_vbi_lines,
-    measure_line,
     noise_gain,
     noise_rms,
     psnr,
@@ -77,8 +75,11 @@ class TestLineRecord:
     def test_bit_depth_must_be_an_integer(self, bit_depth):
         with pytest.raises(InvalidInputError, match="bit_depth must be an integer"):
             LineRecord(samples=np.zeros(64, dtype=np.uint8), bit_depth=bit_depth)
-        line = LineRecord(samples=np.zeros(64, dtype=np.uint8), bit_depth=np.int64(9))
-        assert line.bit_depth == 9
+        line = LineRecord(samples=np.zeros(64, dtype=np.uint8), bit_depth=np.int64(9),
+                          line_index=np.int64(3), frame_index=np.uint8(2))
+        assert (line.bit_depth, line.line_index, line.frame_index) == (9, 3, 2)
+        assert type(line.bit_depth) is int
+        assert type(line.line_index) is int and type(line.frame_index) is int
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
     def test_sample_rate_must_be_positive_and_finite(self, rate):
@@ -169,6 +170,52 @@ class TestLineBlock:
         assert type(block.sample_rate_hz) is float
         assert block.window == default_window(64)
 
+    def test_an_index_is_an_integer_and_no_bool(self):
+        block = self.block()
+        assert block[np.int64(1)].line_index == 5 and block[-1].frame_index == 1
+        for index in (True, 1.0, "1"):
+            with pytest.raises(InvalidInputError, match="index must be an integer"):
+                block[index]
+
+    def test_stack_gathers_each_window_as_a_row(self):
+        # Equally long windows at different positions pool; each row is one
+        # record's window, so the block's window is the whole row.
+        records = [
+            line_of(np.arange(864) % 97, window=(104, 700), line_index=3, frame_index=0),
+            LineRecord(np.arange(864, dtype=np.uint16) % 89, line_index=5, frame_index=0,
+                       window=(250, 846)),
+            line_of(np.arange(864) % 83, window=(0, 596), line_index=3, frame_index=4),
+        ]
+        block = LineBlock.stack(iter(records))
+        assert block.samples.dtype == np.int64 and not block.samples.flags.writeable
+        assert np.array_equal(block.samples, [r.window_samples() for r in records])
+        assert block.window == (0, 596)
+        assert block.frame_indices == (0, 0, 4) and block.line_indices == (3, 5, 3)
+        assert (block.bit_depth, block.sample_rate_hz) == (8, 13.5e6)
+        samples = np.concatenate([r.window_samples() for r in records]).tolist()
+        for config in (MeasureConfig(), MeasureConfig(filter=FilterSpec())):
+            m = accumulate(block, config)
+            assert m == accumulate(records, config) == accumulate(records[::-1], config)
+            assert m.frames_used == 2 and m.v_ref == statistics.fmean(samples)
+        assert accumulate(block).v_n == math.sqrt(statistics.variance(samples))
+
+    @pytest.mark.parametrize(
+        "records,message",
+        [
+            ([], "no lines to accumulate"),
+            ([line_of([60] * 64), line_of([60] * 64, bit_depth=10)],
+             r"mixed bit depths in accumulation: \[8, 10\]"),
+            ([line_of([60] * 64), line_of([60] * 64, sample_rate_hz=14.75e6)],
+             r"mixed sample rates in accumulation: \[13500000.0, 14750000.0\]"),
+            ([line_of([60] * 64, window=(0, 10)), line_of([60] * 64, window=(5, 16))],
+             r"mixed window lengths in accumulation: \[10, 11\]"),
+        ],
+        ids=["empty", "bit-depths", "sample-rates", "window-lengths"],
+    )
+    def test_stack_takes_one_format_and_window_length(self, records, message):
+        with pytest.raises(InvalidInputError, match=message):
+            LineBlock.stack(records)
+
     def test_empty_block_has_nothing_to_accumulate(self):
         empty = self.block()[4:]
         assert isinstance(empty, LineBlock) and len(empty) == 0
@@ -178,16 +225,16 @@ class TestLineBlock:
 
 class TestReferenceLevel:
     def test_constant_input(self):
-        assert estimate_reference_level(line_of([60] * 500, window=(0, 500))) == 60.0
+        assert accumulate([line_of([60] * 500, window=(0, 500))]).v_ref == 60.0
 
     def test_symmetric_window(self):
-        assert estimate_reference_level(line_of([59, 60, 61], window=(0, 3))) == 60.0
+        assert accumulate([line_of([59, 60, 61], window=(0, 3))]).v_ref == 60.0
 
     def test_seeded_gaussian_recovers_level(self):
         rng = np.random.Generator(np.random.PCG64(11))
         samples = np.round(60.0 + rng.normal(0.0, 2.0, 10_000)).astype(np.int32)
         line = line_of(samples, window=(0, 10_000))
-        est = estimate_reference_level(line)
+        est = accumulate([line]).v_ref
         # independent oracle: direct mean over the same samples
         assert est == pytest.approx(math.fsum(samples.tolist()) / 10_000, rel=1e-15)
         assert abs(est - 60.0) < 3.0 * (2.0 / math.sqrt(10_000)) + 0.01
@@ -226,21 +273,23 @@ class TestNoiseRms:
 
 class TestSnrDb:
     def test_unity_ratio(self):
-        value, saturated = snr_db(219.0, MeasureConfig())
-        assert value == 0.0 and not saturated
+        assert snr_db(219.0, MeasureConfig()) == 0.0
 
     def test_forty_db(self):
-        value, saturated = snr_db(2.19, MeasureConfig())
-        assert value == pytest.approx(40.0, abs=1e-12) and not saturated
+        value = snr_db(2.19, MeasureConfig())
+        assert type(value) is float
+        assert value == pytest.approx(40.0, abs=1e-12)
 
     def test_full_scale_log(self):
-        value, _ = snr_db(1.0, MeasureConfig())
+        value = snr_db(1.0, MeasureConfig())
         assert value == pytest.approx(20.0 * math.log10(219.0), rel=1e-15)
         assert value == pytest.approx(46.808882296802366, abs=1e-9)
 
     def test_zero_noise_saturates_at_cap(self):
-        value, saturated = snr_db(0.0, MeasureConfig(snr_cap_db=77.0))
-        assert value == 77.0 and saturated
+        config = MeasureConfig(snr_cap_db=77.0)
+        assert snr_db(0.0, config) == 77.0
+        m = accumulate([line_of([60] * 864)], config)
+        assert m.snr_db == 77.0 and m.saturated
 
     def test_negative_noise_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -284,9 +333,9 @@ def test_records_take_only_what_they_cannot_work_out(record, given, worked_out):
     assert [f.name for f in dataclasses.fields(record) if not f.init] == worked_out
 
 
-class TestMeasureLine:
+class TestSingleLine:
     def test_constant_line_saturates(self):
-        m = measure_line(line_of([60] * 864))
+        m = accumulate([line_of([60] * 864)])
         assert m.v_n == 0.0
         assert m.saturated
         assert m.snr_db == 100.0
@@ -306,7 +355,7 @@ class TestMeasureLine:
         v_n = math.sqrt(float(np.sum((w - v_ref) ** 2)) / (len(w) - 1))
         expected_snr = 20.0 * math.log10(219.0 / v_n)
 
-        m = measure_line(line)
+        m = accumulate([line])
         assert m.v_ref == pytest.approx(v_ref, rel=1e-12)
         assert m.v_n == pytest.approx(v_n, rel=1e-12)
         assert m.snr_db == pytest.approx(expected_snr, rel=1e-12)
@@ -322,8 +371,8 @@ class TestMeasureLine:
         q = np.clip(np.copysign(np.floor(np.abs(raw) + 0.5), raw), 0, 255)
         line = line_of(q.astype(np.int32))
 
-        unfiltered = measure_line(line)
-        filtered = measure_line(line, MeasureConfig(filter=FilterSpec()))
+        unfiltered = accumulate([line])
+        filtered = accumulate([line], MeasureConfig(filter=FilterSpec()))
         assert unfiltered.snr_db < 30.0
         assert abs(filtered.snr_db - 40.0) < 1.0
         assert filtered.filtered and not unfiltered.filtered
@@ -332,10 +381,10 @@ class TestMeasureLine:
 
 class TestAccumulate:
     def test_single_line_identity(self, clean_capture):
-        from vbisnr import extract_vbi_lines
-
-        line = extract_vbi_lines(clean_capture)[0]
-        assert accumulate([line]) == measure_line(line)
+        # One record and the one-row block it came from give the same bits.
+        block = extract_vbi_lines(clean_capture)
+        for config in (MeasureConfig(), MeasureConfig(filter=FilterSpec())):
+            assert accumulate([block[0]], config) == accumulate(block[:1], config)
 
     @pytest.mark.parametrize("filt", [None, FilterSpec()], ids=["raw", "filtered"])
     def test_constant_lines_saturate(self, filt):

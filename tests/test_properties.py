@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from vbisnr import (
     FilterSpec,
+    LineBlock,
     LineRecord,
     MeasureConfig,
     SynthConfig,
@@ -53,10 +54,10 @@ def test_snr_strictly_decreases_with_noise(a, b):
     low, high = sorted((a, b))
     config = MeasureConfig()
     if high > low * (1 + 1e-12):
-        assert snr_db(low, config)[0] > snr_db(high, config)[0]
+        assert snr_db(low, config) > snr_db(high, config)
     else:
         # A few ulps of v_n move the dB value by less than its own ulp.
-        assert snr_db(low, config)[0] >= snr_db(high, config)[0]
+        assert snr_db(low, config) >= snr_db(high, config)
 
 
 @pytest.mark.parametrize("scale", [2, 3, 5, 10])
@@ -72,7 +73,7 @@ def test_scaling_deviations_shifts_snr_by_log_of_scale(scale):
     v_n = noise_rms(line, 100.0)
     v_n_scaled = noise_rms(line_scaled, 100.0)
     assert v_n_scaled == pytest.approx(scale * v_n, rel=1e-12)
-    delta = snr_db(v_n_scaled, config)[0] - snr_db(v_n, config)[0]
+    delta = snr_db(v_n_scaled, config) - snr_db(v_n, config)
     assert delta == pytest.approx(-20.0 * math.log10(scale), abs=1e-9)
 
 
@@ -114,12 +115,25 @@ def line_batches(draw):
     return lines
 
 
+def _permuted_block(lines, rand):
+    # The drawn lines as one block, built directly, its rows in a random order.
+    order = list(range(len(lines)))
+    rand.shuffle(order)
+    return LineBlock(
+        np.array([lines[i].samples for i in order]),
+        frame_indices=[lines[i].frame_index for i in order],
+        line_indices=[lines[i].line_index for i in order],
+        window=lines[0].window,
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @given(line_batches(), st.randoms(use_true_random=False))
 def test_accumulation_is_order_independent(lines, rand):
     shuffled = list(lines)
     rand.shuffle(shuffled)
     assert accumulate(shuffled) == accumulate(lines)
+    assert accumulate(_permuted_block(lines, rand)) == accumulate(lines)
 
 
 @settings(max_examples=10, deadline=None)
@@ -129,6 +143,7 @@ def test_filtered_accumulation_is_order_independent(lines, rand):
     shuffled = list(lines)
     rand.shuffle(shuffled)
     assert accumulate(shuffled, config) == accumulate(lines, config)
+    assert accumulate(_permuted_block(lines, rand), config) == accumulate(lines, config)
 
 
 @given(st.integers(min_value=1, max_value=255))

@@ -196,7 +196,7 @@ def hand_built_report():
     )
     return ScanReport(
         rows=(ScanRow(entry, snr1, snr2, "measured"),),
-        config=MeasureConfig(),
+        config=MeasureConfig(filter=FilterSpec()),
         timestamp="2026-01-01T00:00:00+00:00",
     )
 
@@ -256,6 +256,8 @@ PINNED_JSON = """\
 
 # PINNED_JSON with the measured row's snr1 and snr2 objects swapped.
 SWAPPED_JSON = re.sub(r'"snr([12])"', lambda m: f'"snr{3 - int(m[1])}"', PINNED_JSON)
+# PINNED_JSON without the filter its measured row's snr2 was taken with.
+NULL_FILTER_JSON = re.sub(r'"filter": \{[^}]*\}', '"filter": null', PINNED_JSON)
 
 
 class TestRender:
@@ -347,6 +349,7 @@ class TestRender:
             ('"saturated": true\n      }', '"saturated": true\n      },\n      "snr1": null'),
             ('"status": "measured"', '"status": "no-capture"'),
             pytest.param(PINNED_JSON, SWAPPED_JSON, id="snr1-snr2-swapped"),
+            pytest.param(PINNED_JSON, NULL_FILTER_JSON, id="measured-without-filter"),
         ],
     )
     def test_malformed_report_numbers_rejected(self, good, bad):

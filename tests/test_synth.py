@@ -10,9 +10,9 @@ import pytest
 from vbisnr import (
     InvalidInputError,
     SynthConfig,
+    accumulate,
     default_window,
     extract_vbi_lines,
-    measure_line,
     synthesize,
 )
 
@@ -174,7 +174,7 @@ def test_sync_region_stays_outside_default_window():
     assert np.any(line[:104] != 60)
     # the measurement window sees only the flat black region
     record = extract_vbi_lines(cap)[0]
-    m = measure_line(record)
+    m = accumulate([record])
     assert m.saturated and m.v_ref == 60.0
 
 
