@@ -8,95 +8,60 @@ pre-filter that rejects out-of-band disturbances such as the sound
 carrier, multi-frame accumulation, PSNR between pixel planes, a capture
 file container, a seeded synthetic line generator for verification, and
 channel-plan scan reports.
+
+Importing the package loads no numpy: the first public name asked for
+imports the submodules and binds every public name (PEP 562).
 """
 
-from .capture import (
-    CaptureFile,
-    CaptureHeader,
-    extract_vbi_lines,
-    read_capture,
-    write_capture,
-)
-from .dsp import (
-    FilterSpec,
-    Spectrum,
-    apply_filter,
-    design_lowpass,
-    line_spectrum,
-    noise_gain,
-)
-from .errors import (
-    CaptureFormatError,
-    InvalidInputError,
-    MeasurementImpossibleError,
-    VbiSnrError,
-)
-from .measure import (
-    FULL_SCALE_8BIT,
-    LineBlock,
-    LineRecord,
-    MeasureConfig,
-    Measurement,
-    PsnrResult,
-    accumulate,
-    default_window,
-    error_margin,
-    error_margin_db,
-    noise_rms,
-    psnr,
-    snr_db,
-)
-from .scan import (
-    ChannelEntry,
-    ChannelPlan,
-    ScanReport,
-    ScanRow,
-    parse_plan,
-    render_report,
-    report_from_json,
-    scan,
-)
-from .synth import SynthConfig, synthesize
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CaptureFile",
-    "CaptureFormatError",
-    "CaptureHeader",
-    "ChannelEntry",
-    "ChannelPlan",
-    "FULL_SCALE_8BIT",
-    "FilterSpec",
-    "InvalidInputError",
-    "LineBlock",
-    "LineRecord",
-    "MeasureConfig",
-    "Measurement",
-    "MeasurementImpossibleError",
-    "PsnrResult",
-    "ScanReport",
-    "ScanRow",
-    "Spectrum",
-    "SynthConfig",
-    "VbiSnrError",
-    "accumulate",
-    "apply_filter",
-    "default_window",
-    "design_lowpass",
-    "error_margin",
-    "error_margin_db",
-    "extract_vbi_lines",
-    "line_spectrum",
-    "noise_gain",
-    "noise_rms",
-    "parse_plan",
-    "psnr",
-    "read_capture",
-    "render_report",
-    "report_from_json",
-    "scan",
-    "snr_db",
-    "synthesize",
-    "write_capture",
-]
+# Each public name, under the submodule that defines it.
+_EXPORTS = {
+    "capture": ("CaptureFile", "CaptureHeader", "extract_vbi_lines", "read_capture", "write_capture"),
+    "dsp": ("FilterSpec", "Spectrum", "apply_filter", "design_lowpass", "line_spectrum", "noise_gain"),
+    "errors": ("CaptureFormatError", "InvalidInputError", "MeasurementImpossibleError", "VbiSnrError"),
+    "measure": (
+        "FULL_SCALE_8BIT", "LineBlock", "LineRecord", "MeasureConfig", "Measurement", "PsnrResult",
+        "accumulate", "default_window", "error_margin", "error_margin_db", "noise_rms", "psnr",
+        "snr_db",
+    ),
+    "scan": (
+        "ChannelEntry", "ChannelPlan", "ScanReport", "ScanRow", "parse_plan", "render_report",
+        "report_from_json", "scan",
+    ),
+    "synth": ("SynthConfig", "synthesize"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name):
+    if name in __all__:
+        for module, names in _EXPORTS.items():
+            source = importlib.import_module(f"{__name__}.{module}")
+            globals().update((public, getattr(source, public)) for public in names)
+        return globals()[name]
+    if name in _EXPORTS:  # a submodule, bound as the eager import bound it
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})
+
+
+class _Package(types.ModuleType):
+    # The import system binds a loaded submodule on its package. Where the
+    # submodule shares its name with a public function (``scan``), the
+    # package keeps the function, in every import order.
+    def __setattr__(self, name, value):
+        if name in __all__ and getattr(value, "__name__", None) == f"{__name__}.{name}":
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Mapping
 from pathlib import Path
+
+# vbisnr makes no BLAS call, and numpy's OpenBLAS would start a worker
+# thread that spins on another core; a user's own setting still wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

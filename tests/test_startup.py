@@ -1,0 +1,119 @@
+"""Start-up: the package import loads no numpy, the CLI asks OpenBLAS for
+one thread, and the lazily bound public API is the eager one.
+
+Each start-up case runs in a fresh interpreter without OPENBLAS_NUM_THREADS,
+since this process has long since imported numpy and every public name.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vbisnr
+
+SRC = str(Path(vbisnr.__file__).parents[1])
+
+PUBLIC_NAMES = [
+    "CaptureFile", "CaptureFormatError", "CaptureHeader", "ChannelEntry", "ChannelPlan",
+    "FULL_SCALE_8BIT", "FilterSpec", "InvalidInputError", "LineBlock", "LineRecord",
+    "MeasureConfig", "Measurement", "MeasurementImpossibleError", "PsnrResult", "ScanReport",
+    "ScanRow", "Spectrum", "SynthConfig", "VbiSnrError", "accumulate", "apply_filter",
+    "default_window", "design_lowpass", "error_margin", "error_margin_db", "extract_vbi_lines",
+    "line_spectrum", "noise_gain", "noise_rms", "parse_plan", "psnr", "read_capture",
+    "render_report", "report_from_json", "scan", "snr_db", "synthesize", "write_capture",
+]
+
+
+def run_child(code: str, **env: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    environ = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    environ.update(env, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=environ, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_package_import_loads_no_numpy():
+    assert run_child("import sys, vbisnr; print('numpy' in sys.modules)") == "False"
+
+
+def test_cli_import_asks_for_one_blas_thread():
+    code = "import os, vbisnr.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_child(code) == "1"
+
+
+def test_users_blas_threads_win():
+    code = "import os, vbisnr.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_child(code, OPENBLAS_NUM_THREADS="3") == "3"
+
+
+def test_numpy_loaded_first_leaves_blas_threads_unset():
+    # Too late to matter: the BLAS pool starts when numpy loads.
+    code = "import os, numpy, vbisnr.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert run_child(code) == "None"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_cli_import_starts_no_thread():
+    code = "import os, vbisnr.cli; print(len(os.listdir('/proc/self/task')))"
+    assert run_child(code) == "1"
+
+
+def test_public_names_are_the_eager_ones():
+    assert vbisnr.__all__ == PUBLIC_NAMES
+    code = "ns = {}; exec('from vbisnr import *', ns); print(sorted(set(ns) - {'__builtins__'}))"
+    assert run_child(code) == str(PUBLIC_NAMES)
+
+
+def test_dir_lists_the_public_names_before_they_load():
+    code = (
+        "import sys, vbisnr\n"
+        "listed = dir(vbisnr)\n"
+        "print('__all__' in listed, set(vbisnr.__all__) <= set(listed), 'numpy' in sys.modules)"
+    )
+    assert run_child(code) == "True True False"
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vbisnr.no_such_name
+    assert not hasattr(vbisnr, "cli_main")
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "import vbisnr.scan",
+        "import vbisnr.cli",
+        "from vbisnr import scan",
+        "import vbisnr; vbisnr.CaptureFile",
+        "import vbisnr; vbisnr.measure",
+        "from vbisnr.scan import scan",
+    ],
+)
+def test_scan_is_the_function_in_every_import_order(first):
+    # ``scan`` names a submodule and the function it defines; the package
+    # binds the function whichever of the two is imported first.
+    code = (
+        f"{first}\n"
+        "import inspect, vbisnr\n"
+        "from vbisnr import scan\n"
+        "import vbisnr.scan\n"
+        "print(inspect.isfunction(scan), vbisnr.scan is scan, scan.__module__)"
+    )
+    assert run_child(code) == "True True vbisnr.scan"
+
+
+def test_submodules_are_reachable_from_the_package():
+    code = (
+        "import vbisnr\n"
+        "print(vbisnr.capture.CaptureFile is vbisnr.CaptureFile, vbisnr.errors.__name__)"
+    )
+    assert run_child(code) == "True vbisnr.errors"
