@@ -28,8 +28,7 @@ print(f"single line:  snr = {single.snr_db:6.2f} dB   "
 
 # Accumulating frames pools all window samples into one population.
 for n_frames in (4, 30):
-    subset = [rec for rec in lines if rec.frame_index < n_frames]
-    m = accumulate(subset, MeasureConfig())
+    m = accumulate(extract_vbi_lines(capture, n_frames), MeasureConfig())
     print(f"{m.frames_used:3d} frames:  snr = {m.snr_db:6.2f} dB   "
           f"v_n = {m.v_n:.3f} +- {m.error_margin:.3f}  (N = {m.n_samples})")
 

@@ -22,12 +22,12 @@ __version__ = "0.1.0"
 # Each public name, under the submodule that defines it.
 _EXPORTS = {
     "capture": ("CaptureFile", "CaptureHeader", "extract_vbi_lines", "read_capture", "write_capture"),
-    "dsp": ("FilterSpec", "Spectrum", "apply_filter", "design_lowpass", "line_spectrum", "noise_gain"),
+    "dsp": ("FilterSpec", "apply_filter", "design_lowpass", "noise_gain"),
     "errors": ("CaptureFormatError", "InvalidInputError", "MeasurementImpossibleError", "VbiSnrError"),
     "measure": (
         "FULL_SCALE_8BIT", "LineBlock", "LineRecord", "MeasureConfig", "Measurement", "PsnrResult",
-        "accumulate", "default_window", "error_margin", "error_margin_db", "noise_rms", "psnr",
-        "snr_db",
+        "Spectrum", "accumulate", "default_window", "error_margin", "error_margin_db",
+        "line_spectrum", "noise_rms", "psnr", "snr_db",
     ),
     "scan": (
         "ChannelEntry", "ChannelPlan", "ScanReport", "ScanRow", "parse_plan", "render_report",

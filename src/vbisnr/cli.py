@@ -22,14 +22,14 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from .capture import CaptureFile, _sample_dtype, extract_vbi_lines, read_capture, write_capture
-from .dsp import FilterSpec, line_spectrum
+from .dsp import FilterSpec
 from .errors import (
     CaptureFormatError,
     InvalidInputError,
     MeasurementImpossibleError,
     _as_int,
 )
-from .measure import LineRecord, MeasureConfig, accumulate, psnr
+from .measure import LineRecord, MeasureConfig, accumulate, line_spectrum, psnr
 from .scan import parse_plan, render_report, scan
 from .synth import SynthConfig, synthesize
 
@@ -229,9 +229,14 @@ def _load_plane(path: str, bits: int, width: int | None, height: int | None) -> 
             )
         fields = {}
         for line in sidecar.read_text().splitlines():
-            if line.strip():
-                key, _, value = line.partition("=")
-                fields[key.strip()] = value.strip()
+            if not line.strip():
+                continue
+            if "=" not in line:
+                raise InvalidInputError(f"{sidecar}: malformed header line {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in fields:
+                raise InvalidInputError(f"{sidecar}: duplicate header field {key!r}")
+            fields[key] = value
         try:
             width = int(fields["width"])
             height = int(fields["height"])
@@ -285,11 +290,7 @@ def _cmd_spectrum(args) -> int:
         )
 
     record = LineRecord(
-        samples=capture.samples[args.frame, line_idx],
-        bit_depth=header.bit_depth,
-        sample_rate_hz=header.sample_rate_hz,
-        line_index=line_idx,
-        frame_index=args.frame,
+        capture.samples[args.frame, line_idx], header.bit_depth, header.sample_rate_hz
     )
     spectrum = line_spectrum(record, args.fft_size)
     rows = ["frequency_hz,magnitude_db"]

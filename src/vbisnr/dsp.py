@@ -1,12 +1,11 @@
-"""Low-pass pre-filtering and line spectra.
+"""Low-pass pre-filtering.
 
 The low-pass filter implements the "filtered" measurement mode: a
 linear-phase windowed-sinc FIR whose group delay is removed by trimming,
 so the filtered sample population stays free of edge padding artifacts.
 It is applied by FFT convolution, row by row along the last axis, so a
 block of equally long lines is filtered in one pass and each row's output
-depends only on that row. Spectra are exported for offline plotting of
-individual lines.
+depends only on that row.
 """
 
 from __future__ import annotations
@@ -14,17 +13,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidInputError, _as_float, _as_int
-
-if TYPE_CHECKING:
-    from .measure import LineRecord
-
-# Magnitudes below this are reported as the floor instead of -inf.
-DB_FLOOR = -200.0
+from .errors import InvalidInputError, _as_float
 
 
 @dataclass(frozen=True)
@@ -59,27 +51,6 @@ class FilterSpec:
         if d["kind"] != spec.kind:
             raise InvalidInputError(f"unknown filter kind {d['kind']!r}")
         return spec
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Single-sided magnitude spectrum of one line.
-
-    Bin 0 holds the line's mean level (the black level on a blanked line);
-    it is measured separately and removed before windowing so that leakage
-    from the large DC term cannot mask low-level structure in the AC bins.
-    Magnitudes are in dB relative to the nominal full-scale amplitude.
-    """
-
-    bin_hz: float
-    magnitudes_db: np.ndarray
-
-    @property
-    def fft_size(self) -> int:
-        return 2 * (len(self.magnitudes_db) - 1)
-
-    def frequencies_hz(self) -> np.ndarray:
-        return np.arange(len(self.magnitudes_db)) * self.bin_hz
 
 
 @functools.lru_cache
@@ -193,45 +164,3 @@ def apply_filter(samples, taps) -> np.ndarray:
     spectrum = np.fft.rfft(x, size)
     spectrum *= _taps_spectrum(t.tobytes(), size)
     return np.fft.irfft(spectrum, size)[..., t.size - 1 : n]
-
-
-def _periodic_hann(n: int) -> np.ndarray:
-    """The ``n``-point Hann window of an ``n``-periodic sequence."""
-    return np.hanning(n + 1)[:-1]
-
-
-def line_spectrum(line: "LineRecord", fft_size: int | None = None) -> Spectrum:
-    """Hann-windowed, zero-padded magnitude spectrum of a whole line.
-
-    ``fft_size`` must be a power of two no smaller than the line length;
-    it defaults to the smallest such power of two.
-    """
-    n = len(line.samples)
-    if fft_size is None:
-        fft_size = 1 << (n - 1).bit_length()
-    else:
-        fft_size = _as_int(fft_size, "fft_size", 1)
-        if fft_size & (fft_size - 1):
-            raise InvalidInputError(f"fft_size must be a power of two, got {fft_size}")
-        if fft_size < n:
-            raise InvalidInputError(
-                f"fft_size {fft_size} is smaller than the line ({n} samples)"
-            )
-
-    x = np.asarray(line.samples, dtype=np.float64)
-    mean = float(x.mean())
-    window = _periodic_hann(n)
-    bins = np.fft.rfft((x - mean) * window, n=fft_size)
-
-    # Single-sided amplitude normalization: a full-scale sinusoid reads 0 dB.
-    mags = np.abs(bins) * (2.0 / window.sum())
-    mags[-1] /= 2.0  # Nyquist bin is not mirrored
-    mags[0] = abs(mean)
-
-    from .measure import MeasureConfig  # measure imports this module
-
-    full_scale = MeasureConfig().full_scale_for(line.bit_depth)
-    floor = full_scale * 10.0 ** (DB_FLOOR / 20.0)
-    db = 20.0 * np.log10(np.maximum(mags, floor) / full_scale)
-    db.flags.writeable = False
-    return Spectrum(bin_hz=line.sample_rate_hz / fft_size, magnitudes_db=db)

@@ -5,8 +5,8 @@ level, so its sample mean estimates the reference level and the spread of
 the samples around that mean is pure noise. The functions here implement
 that separation: reference level, noise RMS over an N-1 denominator,
 SNR in dB against the nominal full-scale video amplitude, the statistical
-error margin of the estimate, multi-frame accumulation, and PSNR between
-pixel planes.
+error margin of the estimate, multi-frame accumulation, a line's magnitude
+spectrum, and PSNR between pixel planes.
 
 A measurement's lines are a :class:`LineBlock`: the rows
 ``extract_vbi_lines`` gathers from a capture, or :class:`LineRecord`
@@ -33,6 +33,9 @@ from .errors import InvalidInputError, MeasurementImpossibleError, _as_float, _a
 # Nominal 8-bit video signal amplitude: 235 - 16 code units (ITU-R BT.601
 # levels). Wider samples scale proportionally.
 FULL_SCALE_8BIT = 219.0
+
+# Magnitudes below this are reported as the floor instead of -inf.
+DB_FLOOR = -200.0
 
 _LN10 = math.log(10.0)
 
@@ -253,6 +256,67 @@ class MeasureConfig:
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Single-sided magnitude spectrum of one line.
+
+    Bin 0 holds the line's mean level (the black level on a blanked line);
+    it is measured separately and removed before windowing so that leakage
+    from the large DC term cannot mask low-level structure in the AC bins.
+    Magnitudes are in dB relative to the nominal full-scale amplitude.
+    """
+
+    bin_hz: float
+    magnitudes_db: np.ndarray
+
+    @property
+    def fft_size(self) -> int:
+        return 2 * (len(self.magnitudes_db) - 1)
+
+    def frequencies_hz(self) -> np.ndarray:
+        return np.arange(len(self.magnitudes_db)) * self.bin_hz
+
+
+def _periodic_hann(n: int) -> np.ndarray:
+    """The ``n``-point Hann window of an ``n``-periodic sequence."""
+    return np.hanning(n + 1)[:-1]
+
+
+def line_spectrum(line: LineRecord, fft_size: int | None = None) -> Spectrum:
+    """Hann-windowed, zero-padded magnitude spectrum of a whole line.
+
+    ``fft_size`` must be a power of two no smaller than the line length;
+    it defaults to the smallest such power of two.
+    """
+    n = len(line.samples)
+    if fft_size is None:
+        fft_size = 1 << (n - 1).bit_length()
+    else:
+        fft_size = _as_int(fft_size, "fft_size", 1)
+        if fft_size & (fft_size - 1):
+            raise InvalidInputError(f"fft_size must be a power of two, got {fft_size}")
+        if fft_size < n:
+            raise InvalidInputError(
+                f"fft_size {fft_size} is smaller than the line ({n} samples)"
+            )
+
+    x = np.asarray(line.samples, dtype=np.float64)
+    mean = float(x.mean())
+    window = _periodic_hann(n)
+    bins = np.fft.rfft((x - mean) * window, n=fft_size)
+
+    # Single-sided amplitude normalization: a full-scale sinusoid reads 0 dB.
+    mags = np.abs(bins) * (2.0 / window.sum())
+    mags[-1] /= 2.0  # Nyquist bin is not mirrored
+    mags[0] = abs(mean)
+
+    full_scale = MeasureConfig().full_scale_for(line.bit_depth)
+    floor = full_scale * 10.0 ** (DB_FLOOR / 20.0)
+    db = 20.0 * np.log10(np.maximum(mags, floor) / full_scale)
+    db.flags.writeable = False
+    return Spectrum(bin_hz=line.sample_rate_hz / fft_size, magnitudes_db=db)
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One SNR measurement result, checked when it is built.
@@ -299,13 +363,16 @@ class Measurement:
 
 @dataclass(frozen=True)
 class PsnrResult:
-    """PSNR between an original and a degraded pixel plane."""
+    """PSNR between two pixel planes; ``saturated`` (zero MSE) is worked out, not given."""
 
     mse: float
     psnr_db: float
     bits_per_pixel: int
     per_channel: tuple[tuple[str, float], ...] | None = None
-    saturated: bool = False
+    saturated: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "saturated", self.mse == 0.0)
 
 
 def _squared_deviation(values: np.ndarray, v_ref: float) -> np.ndarray:
@@ -438,33 +505,24 @@ def psnr(
     sq = np.square(diff)
     peak = float((1 << bits_per_pixel) - 1)
 
-    def one(mse: float) -> tuple[float, bool]:
+    def one(mse: float) -> float:
         if mse == 0.0:
-            return (cap_db, True)
-        return (10.0 * math.log10(peak * peak / mse), False)
+            return cap_db
+        return 10.0 * math.log10(peak * peak / mse)
 
     mse = float(np.mean(sq))
-    value, saturated = one(mse)
 
     per_channel = None
     if a.ndim == 3:
         n_ch = a.shape[2]
         if channel_labels is None:
-            labels = [f"ch{i}" for i in range(n_ch)]
-        elif len(channel_labels) != n_ch:
-            raise InvalidInputError(
-                f"{len(channel_labels)} labels supplied for {n_ch} channels"
-            )
-        else:
-            labels = [str(s) for s in channel_labels]
+            channel_labels = [f"ch{i}" for i in range(n_ch)]
+        if len(channel_labels) != n_ch:
+            raise InvalidInputError(f"{len(channel_labels)} labels supplied for {n_ch} channels")
         per_channel = tuple(
-            (labels[i], one(float(np.mean(sq[:, :, i])))[0]) for i in range(n_ch)
+            (str(label), one(float(np.mean(sq[..., i])))) for i, label in enumerate(channel_labels)
         )
 
     return PsnrResult(
-        mse=mse,
-        psnr_db=value,
-        bits_per_pixel=bits_per_pixel,
-        per_channel=per_channel,
-        saturated=saturated,
+        mse=mse, psnr_db=one(mse), bits_per_pixel=bits_per_pixel, per_channel=per_channel
     )

@@ -49,6 +49,11 @@ class ChannelEntry:
             raise InvalidInputError("channel designation and name must be strings")
         if not self.designation:
             raise InvalidInputError("channel designation may not be empty")
+        # A channel's capture is <designation>.vbi inside the captures directory.
+        if "/" in self.designation or "\\" in self.designation:
+            raise InvalidInputError(
+                f"channel designation {self.designation!r} may not contain / or \\"
+            )
         carrier = _as_float(self.video_carrier_mhz, "video_carrier_mhz")
         if not 40.0 < carrier < 1000.0:
             raise InvalidInputError(

@@ -252,6 +252,32 @@ class TestScan:
         assert out == ""
         assert "reaches Nyquist (6750000.0 Hz)" in err
 
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_designation_leading_out_of_the_directory_is_exit_one(
+        self, tmp_path, capsys, monkeypatch, absolute
+    ):
+        # A readable capture outside --captures-dir is never opened.
+        captures, other = tmp_path / "captures", tmp_path / "other"
+        captures.mkdir()
+        other.mkdir()
+        make_captures(other, ["S02"])
+        designation = str(other / "S02") if absolute else "../other/S02"
+        plan_path = tmp_path / "plan.csv"
+        plan_path.write_text(f"designation,name,video_carrier_mhz\n{designation},TVR1,112.25\n")
+        opened = []
+        monkeypatch.setattr(vbisnr.cli, "read_capture", opened.append)
+        capsys.readouterr()
+        assert main(["plan-validate", "--plan", str(plan_path)]) == 1
+        assert main(
+            ["scan", "--plan", str(plan_path), "--captures-dir", str(captures),
+             "--format", "csv", "--out", str(tmp_path / "scan.csv")]
+        ) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count(f"channel designation {designation!r} may not contain /") == 2
+        assert opened == []
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_missing_captures_dir_is_io_failure(self, tmp_path, plan_text):
         plan_path = tmp_path / "plan.csv"
         plan_path.write_text(plan_text)
@@ -357,6 +383,22 @@ class TestPsnr:
         (tmp_path / "a.raw.hdr").write_text("width=5\nheight=6\n")
         assert main(["psnr", "--original", str(a), "--decoded", str(a)]) == 0
         assert "saturated true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text,fault",
+        [
+            ("width=4\nheight=6\nwidth=5\n", "duplicate header field 'width'"),
+            ("width=5\nheight=6\nplanar\n", "malformed header line 'planar'"),
+        ],
+    )
+    def test_loose_sidecar_is_exit_one(self, tmp_path, capsys, text, fault):
+        a = tmp_path / "a.raw"
+        write_plane(a, np.zeros((6, 5)))
+        (tmp_path / "a.raw.hdr").write_text(text)
+        assert main(["psnr", "--original", str(a), "--decoded", str(a)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {tmp_path / 'a.raw.hdr'}: {fault}\n"
 
     def test_shape_mismatch_is_exit_one(self, tmp_path, capsys):
         a, b = tmp_path / "a.raw", tmp_path / "b.raw"

@@ -16,7 +16,8 @@ from vbisnr import (
     line_spectrum,
     noise_gain,
 )
-from vbisnr.dsp import _fft_size, _kaiser_order, _periodic_hann
+from vbisnr.dsp import _fft_size, _kaiser_order
+from vbisnr.measure import _periodic_hann
 
 FS = 13.5e6
 

@@ -20,6 +20,7 @@ from vbisnr import (
     MeasureConfig,
     Measurement,
     MeasurementImpossibleError,
+    PsnrResult,
     Spectrum,
     SynthConfig,
     accumulate,
@@ -325,6 +326,7 @@ class TestErrorMargin:
         (FilterSpec, 3, ["kind"]),
         (CaptureHeader, 8, ["format_version"]),
         (Spectrum, 2, []),
+        (PsnrResult, 4, ["saturated"]),
     ],
 )
 def test_records_take_only_what_they_cannot_work_out(record, given, worked_out):
@@ -601,6 +603,10 @@ class TestPsnr:
         assert result.mse == 0.0
         assert result.saturated
         assert result.psnr_db == 100.0
+
+    def test_a_result_works_out_its_saturation(self):
+        assert PsnrResult(0.0, 100.0, 8).saturated is True
+        assert PsnrResult(1.0, 48.13, 8).saturated is False
 
     def test_peak_error_is_zero_db(self):
         a = np.zeros((16, 16), dtype=np.int32)

@@ -70,6 +70,12 @@ class TestParsePlan:
         with pytest.raises(InvalidInputError, match=r"\(40, 1000\)"):
             parse_plan(text)
 
+    @pytest.mark.parametrize("designation", ["../other/S02", "/abs/S02", "..\\other\\S02"])
+    def test_designation_with_a_path_separator_rejected(self, designation):
+        text = f"designation,name,video_carrier_mhz\n{designation},TVR1,112.25\n"
+        with pytest.raises(InvalidInputError, match="line 2: .* may not contain / or"):
+            parse_plan(text)
+
     def test_header_required(self):
         with pytest.raises(InvalidInputError, match="header"):
             parse_plan("S02,TVR1,112.25\n")

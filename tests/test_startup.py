@@ -1,5 +1,6 @@
 """Start-up: the package import loads no numpy, the CLI asks OpenBLAS for
-one thread, and the lazily bound public API is the eager one.
+one thread, the lazily bound public API is the eager one, and the modules
+import one way, with no cycle.
 
 Each start-up case runs in a fresh interpreter without OPENBLAS_NUM_THREADS,
 since this process has long since imported numpy and every public name.
@@ -7,6 +8,7 @@ since this process has long since imported numpy and every public name.
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,6 +19,9 @@ import pytest
 import vbisnr
 
 SRC = str(Path(vbisnr.__file__).parents[1])
+
+# The package's modules in layer order: each imports from earlier ones only.
+LAYERS = ["errors", "dsp", "measure", "capture", "synth", "scan", "cli"]
 
 PUBLIC_NAMES = [
     "CaptureFile", "CaptureFormatError", "CaptureHeader", "ChannelEntry", "ChannelPlan",
@@ -117,3 +122,28 @@ def test_submodules_are_reachable_from_the_package():
         "print(vbisnr.capture.CaptureFile is vbisnr.CaptureFile, vbisnr.errors.__name__)"
     )
     assert run_child(code) == "True vbisnr.errors"
+
+
+def package_imports(module: str) -> set[str]:
+    """The vbisnr modules ``module`` imports anywhere in its source, nested too."""
+    tree = ast.parse(Path(SRC, "vbisnr", f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+@pytest.mark.parametrize("index,module", list(enumerate(LAYERS)))
+def test_modules_import_only_earlier_layers(index, module):
+    # One-way layering: no import cycle, not even a deferred or type-only one.
+    assert package_imports(module) <= set(LAYERS[:index])
+
+
+def test_filter_module_loads_no_measurement_code():
+    code = (
+        "import sys, vbisnr.dsp\n"
+        "vbisnr.dsp.design_lowpass(vbisnr.dsp.FilterSpec(), 13.5e6)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('vbisnr')))"
+    )
+    assert run_child(code) == "['vbisnr', 'vbisnr.dsp', 'vbisnr.errors']"
