@@ -236,19 +236,14 @@ def _parse_header(path, text: str) -> CaptureHeader:
         raise CaptureFormatError(f"{path}: bad header: {exc}") from exc
 
 
-def extract_vbi_lines(
-    capture: CaptureFile,
-    frame_range=None,
-    window_override: tuple[int, int] | None = None,
-) -> LineBlock:
+def extract_vbi_lines(capture: CaptureFile, frame_range=None) -> LineBlock:
     """The VBI lines of the selected frames, gathered as one :class:`LineBlock`.
 
     ``frame_range`` may be ``None`` (all frames), a half-open
     ``(start, stop)`` tuple, which must lie within the capture, or an
     integer n (the first n frames, capped at what the capture holds). Rows
-    are frame-major: each frame's VBI lines in header order. Without
-    ``window_override`` the block gets the default measurement window for
-    the line length.
+    are frame-major: each frame's VBI lines in header order. The block gets
+    the default measurement window for the line length.
     """
     header = capture.header
     if frame_range is None:
@@ -281,5 +276,4 @@ def extract_vbi_lines(
         line_indices=vbi * (stop - start),
         bit_depth=header.bit_depth,
         sample_rate_hz=header.sample_rate_hz,
-        window=window_override,
     )

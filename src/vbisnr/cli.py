@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from collections.abc import Mapping
+from dataclasses import asdict
 from pathlib import Path
 
 # vbisnr makes no BLAS call, and numpy's OpenBLAS would start a worker
@@ -29,7 +30,9 @@ from .errors import (
     MeasurementImpossibleError,
     _as_int,
 )
-from .measure import LineRecord, MeasureConfig, accumulate, line_spectrum, psnr
+from .measure import (
+    LineRecord, MeasureConfig, _admit_codes, _pixel_bits, accumulate, line_spectrum, psnr
+)
 from .scan import parse_plan, render_report, scan
 from .synth import SynthConfig, synthesize
 
@@ -166,7 +169,7 @@ def _cmd_measure(args) -> int:
     lines = extract_vbi_lines(capture, frame_range=args.frames)
     result = accumulate(lines, config)
     if args.json:
-        print(json.dumps(result.as_dict(), indent=2))
+        print(json.dumps(asdict(result), indent=2))
     else:
         print(f"v_ref {result.v_ref:.4f}")
         print(f"v_n {result.v_n:.4f}")
@@ -244,7 +247,17 @@ def _load_plane(path: str, bits: int, width: int | None, height: int | None) -> 
             raise InvalidInputError(f"{sidecar}: bad sidecar header: {exc}") from exc
     width, height = _as_int(width, "width", 1), _as_int(height, "height", 1)
 
-    data = np.fromfile(path, dtype=_sample_dtype(bits))
+    # Whole samples of ``bits``-bit codes, checked as a capture's payload is.
+    dtype = _sample_dtype(bits)
+    data = np.fromfile(path, dtype=np.uint8)
+    if data.size % dtype.itemsize:
+        raise InvalidInputError(
+            f"{path}: {data.size} bytes are not whole {dtype.itemsize}-byte samples"
+        )
+    try:
+        data = _admit_codes(data.view(dtype), bits, dtype)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     plane_px = width * height
     if data.size == plane_px:
         return data.reshape(height, width)
@@ -258,9 +271,10 @@ def _load_plane(path: str, bits: int, width: int | None, height: int | None) -> 
 
 
 def _cmd_psnr(args) -> int:
-    original = _load_plane(args.original, args.bits, args.width, args.height)
-    decoded = _load_plane(args.decoded, args.bits, args.width, args.height)
-    result = psnr(original, decoded, bits_per_pixel=args.bits)
+    bits = _pixel_bits(args.bits)
+    original = _load_plane(args.original, bits, args.width, args.height)
+    decoded = _load_plane(args.decoded, bits, args.width, args.height)
+    result = psnr(original, decoded, bits_per_pixel=bits)
     print(f"mse {result.mse:.6f}")
     print(f"psnr_db {result.psnr_db:.1f}")
     if result.saturated:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,10 +40,6 @@ class FilterSpec:
             ("stopband_atten_db", 20, False),
         ):
             object.__setattr__(self, key, _as_float(getattr(self, key), key, low, above))
-
-    def as_dict(self) -> dict:
-        """The JSON object: the fields in declaration order."""
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":

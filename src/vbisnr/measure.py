@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -245,10 +245,6 @@ class MeasureConfig:
             return self.full_scale
         return FULL_SCALE_8BIT * 2.0 ** (bit_depth - 8)
 
-    def as_dict(self) -> dict:
-        """The JSON object: the fields in declaration order, ``filter`` nested."""
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "MeasureConfig":
         filt = d["filter"]
@@ -346,10 +342,6 @@ class Measurement:
             raise InvalidInputError(f"filtered must be true or false, got {self.filtered!r}")
         object.__setattr__(self, "error_margin", error_margin(self.v_n, self.n_samples))
         object.__setattr__(self, "saturated", self.v_n == 0.0)
-
-    def as_dict(self) -> dict:
-        """The JSON object of ``measure --json``: the fields in declaration order."""
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Measurement":
@@ -476,6 +468,14 @@ def accumulate(
     )
 
 
+def _pixel_bits(bits) -> int:
+    # The bits of a PSNR pixel code: 1..16.
+    bits = _as_int(bits, "bits_per_pixel")
+    if not 1 <= bits <= 16:
+        raise InvalidInputError(f"bits_per_pixel must be 1..16, got {bits}")
+    return bits
+
+
 def psnr(
     original,
     decoded,
@@ -496,9 +496,7 @@ def psnr(
         raise InvalidInputError(f"plane shapes differ: {a.shape} vs {b.shape}")
     if a.ndim not in (2, 3):
         raise InvalidInputError(f"expected a 2-D or 3-D pixel plane, got {a.ndim}-D")
-    bits_per_pixel = _as_int(bits_per_pixel, "bits_per_pixel")
-    if not 1 <= bits_per_pixel <= 16:
-        raise InvalidInputError(f"bits_per_pixel must be 1..16, got {bits_per_pixel}")
+    bits_per_pixel = _pixel_bits(bits_per_pixel)
     cap_db = _as_float(cap_db, "cap_db")
 
     diff = a.astype(np.float64) - b.astype(np.float64)

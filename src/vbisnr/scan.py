@@ -225,13 +225,13 @@ def render_report(report: ScanReport, format: str = "table") -> str:
     if format == "json":
         payload = {
             "timestamp": report.timestamp,
-            "config": report.config.as_dict(),
+            "config": asdict(report.config),
             "channels": [
                 {
                     **asdict(row.channel),
                     "status": row.status,
-                    "snr1": None if row.snr1 is None else row.snr1.as_dict(),
-                    "snr2": None if row.snr2 is None else row.snr2.as_dict(),
+                    "snr1": None if row.snr1 is None else asdict(row.snr1),
+                    "snr2": None if row.snr2 is None else asdict(row.snr2),
                 }
                 for row in report.rows
             ],

@@ -2,20 +2,22 @@
 
 ``synthesize`` makes white noise and sinusoids only. Each function here
 takes a synthesized capture and returns a new :class:`CaptureFile` with the
-impairment applied, plus its truth: the variance in code units squared that
-the impairment adds to the raw pooled samples. The input capture is left
-as it is.
+impairment applied, plus its truth. For noise, hum and a data line that is
+the variance in code units squared that the impairment adds to the raw
+pooled samples, the windows of the listed VBI lines that ``accumulate``
+reads; a data line also names its line, and clipping counts the window
+samples that clip. The input capture is left as it is.
 
 Every level, seed and tolerance band is fixed here, before any measurement
-reads an impaired capture. Raw ``accumulate`` should read each truth plus
-the quantization floor within ``TOLERANCE``.
+reads an impaired capture. Raw ``accumulate`` should read each added
+variance plus the quantization floor within ``TOLERANCE``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from vbisnr import CaptureFile
+from vbisnr import CaptureFile, MeasureConfig, default_window
 from vbisnr.synth import _quantize
 
 # Rounding to whole codes adds uniform error of 1/12 LSB^2 (Widrow), once
@@ -33,10 +35,20 @@ SEEDS = (3, 4, 5)
 COLOURED_SIGMA = 2.0
 COLOURING_TAPS = (0.5, 1.0, 0.5)
 
-# Field-rate hum: a square wave of +-HUM_CODES across frames, on white
-# noise of HUM_BASE_SIGMA.
+# White noise under hum, a data line and clipping.
+BASE_SIGMA = 2.19
+
+# Field-rate hum: a square wave of +-HUM_CODES across frames.
 HUM_CODES = 1
-HUM_BASE_SIGMA = 2.19
+
+# A data line: two-level NRZ at the System B teletext bit rate (ETS 300 706),
+# its upper level DATA_LEVEL of the nominal video amplitude above black.
+DATA_RATE_HZ = 6.9375e6
+DATA_LEVEL = 0.66
+
+# Clipping: black pushed down by CLIP_CODES, from 60 to 3 at 8 bits, so the
+# noise of BASE_SIGMA reaches below code 0.
+CLIP_CODES = 57
 
 
 def coloured_noise(
@@ -72,3 +84,47 @@ def field_hum(capture: CaptureFile, codes: int = HUM_CODES) -> tuple[CaptureFile
     offsets = np.where(np.arange(capture.header.frames) % 2 == 0, codes, -codes)
     shifted = capture.samples.astype(np.int64) + offsets[:, None, None]
     return CaptureFile(capture.header, shifted), float(np.var(offsets))
+
+
+def _pooled(capture: CaptureFile, values: np.ndarray) -> np.ndarray:
+    # The window samples of the listed VBI lines, as ``accumulate`` pools them.
+    header = capture.header
+    start, end = default_window(header.samples_per_line)
+    return values[:, list(header.vbi_line_indices), start:end]
+
+
+def data_line(
+    capture: CaptureFile, line: int | None = None, seed: int = 0
+) -> tuple[CaptureFile, int, float]:
+    """Put seeded random NRZ bits on one listed VBI line of every frame.
+
+    ``line`` defaults to the first listed line. A one bit adds ``DATA_LEVEL``
+    of the nominal video amplitude, rounded to whole codes, across the whole
+    line; sample ``n`` carries bit ``floor(n * DATA_RATE_HZ / sample_rate_hz)``.
+    Truth: the line's index, and the variance of the offsets over the
+    pooled windows.
+    """
+    header = capture.header
+    line = header.vbi_line_indices[0] if line is None else line
+    if line not in header.vbi_line_indices:
+        raise ValueError(f"line {line} is not a listed VBI line")
+    codes = round(DATA_LEVEL * MeasureConfig().full_scale_for(header.bit_depth))
+    bit_of_sample = np.floor(
+        np.arange(header.samples_per_line) * (DATA_RATE_HZ / header.sample_rate_hz)
+    ).astype(np.int64)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bits = rng.integers(0, 2, size=(header.frames, bit_of_sample[-1] + 1))
+    offsets = np.zeros(capture.samples.shape, dtype=np.int64)
+    offsets[:, line] = codes * bits[:, bit_of_sample]
+    shifted = capture.samples + offsets
+    return CaptureFile(header, shifted), line, float(np.var(_pooled(capture, offsets)))
+
+
+def black_clip(capture: CaptureFile) -> tuple[CaptureFile, int]:
+    """Lower every sample by ``CLIP_CODES`` whole codes, clipping at code 0.
+
+    Truth: the number of pooled window samples that fall below code 0.
+    """
+    lowered = capture.samples.astype(np.int64) - CLIP_CODES
+    clipped = int(np.count_nonzero(_pooled(capture, lowered) < 0))
+    return CaptureFile(capture.header, np.maximum(lowered, 0)), clipped

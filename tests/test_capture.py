@@ -233,8 +233,8 @@ class TestExtract:
         assert len(records) == 30 * 2
         assert [r.frame_index for r in records[:4]] == [0, 0, 1, 1]
 
-    def test_window_override_is_carried(self, clean_capture):
-        records = extract_vbi_lines(clean_capture, window_override=(100, 800))
+    def test_replaced_window_is_carried(self, clean_capture):
+        records = replace(extract_vbi_lines(clean_capture), window=(100, 800))
         assert all(r.window == (100, 800) for r in records)
 
     def test_default_window_on_864(self, clean_capture):
@@ -298,13 +298,13 @@ class TestExtract:
         assert tail.frame_indices == tuple(f for f, _ in pairs[2:])
         assert [r.frame_index for r in block[::-1]] == [f for f, _ in reversed(pairs)]
 
-    def test_too_short_override_fails_at_extract(self, clean_capture):
+    def test_too_short_window_fails_at_replace(self, clean_capture):
         with pytest.raises(
             InvalidInputError, match=r"line 0 frame 5: window \[100, 101\) is shorter than 2"
         ):
-            extract_vbi_lines(clean_capture, frame_range=(5, 7), window_override=(100, 101))
+            replace(extract_vbi_lines(clean_capture, frame_range=(5, 7)), window=(100, 101))
         with pytest.raises(InvalidInputError, match=r"window \[100, 900\) does not fit a 864"):
-            extract_vbi_lines(clean_capture, window_override=(100, 900))
+            replace(extract_vbi_lines(clean_capture), window=(100, 900))
 
     @pytest.mark.parametrize("label", ["", "x"])
     def test_mapped_gather_copies_only_the_measured_rows(self, tmp_path, label):

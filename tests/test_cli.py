@@ -410,6 +410,39 @@ class TestPsnr:
         ) == 1
         assert "neither" in capsys.readouterr().err
 
+    def test_code_above_the_bit_depth_is_exit_one(self, tmp_path, capsys):
+        a, b = tmp_path / "a.raw", tmp_path / "b.raw"
+        write_plane(a, np.full((8, 8), 200))
+        write_plane(b, np.zeros((8, 8)))
+        assert main(
+            ["psnr", "--original", str(a), "--decoded", str(b),
+             "--width", "8", "--height", "8", "--bits", "4"]
+        ) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {a}: sample values exceed the 4-bit code range\n"
+
+    def test_partial_sample_is_exit_one(self, tmp_path, capsys):
+        a = tmp_path / "a.raw"
+        a.write_bytes(np.full(64, 512, dtype="<u2").tobytes() + b"\x00")
+        assert main(
+            ["psnr", "--original", str(a), "--decoded", str(a),
+             "--width", "8", "--height", "8", "--bits", "10"]
+        ) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {a}: 129 bytes are not whole 2-byte samples\n"
+
+    @pytest.mark.parametrize("bits", ["-1", "0", "17"])
+    def test_bits_outside_one_to_sixteen_is_exit_one(self, tmp_path, capsys, bits):
+        a = tmp_path / "a.raw"
+        write_plane(a, np.zeros((8, 8)))
+        assert main(
+            ["psnr", "--original", str(a), "--decoded", str(a),
+             "--width", "8", "--height", "8", "--bits", bits]
+        ) == 1
+        assert capsys.readouterr().err == f"error: bits_per_pixel must be 1..16, got {bits}\n"
+
     @pytest.mark.parametrize("sidecar", [False, True])
     def test_non_positive_plane_size_is_exit_one(self, tmp_path, capsys, sidecar):
         a = tmp_path / "a.raw"

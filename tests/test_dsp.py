@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestDesign:
         with pytest.raises(InvalidInputError):
             FilterSpec(cutoff_hz=-1.0)
         with pytest.raises(InvalidInputError, match="unknown filter kind 'butterworth'"):
-            FilterSpec.from_dict({**FilterSpec().as_dict(), "kind": "butterworth"})
+            FilterSpec.from_dict({**asdict(FilterSpec()), "kind": "butterworth"})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -60,7 +60,7 @@ def _report_with_carrier(value):
 
 
 def _measurement_with(key):
-    return lambda value: Measurement.from_dict({**MEASUREMENT.as_dict(), key: value})
+    return lambda value: Measurement.from_dict({**asdict(MEASUREMENT), key: value})
 
 
 def _built_with(key):
@@ -78,7 +78,7 @@ FLOAT_SITES = {
     "FilterSpec.stopband_atten_db": (
         lambda v: FilterSpec(stopband_atten_db=v), "stopband_atten_db", 10, 60),
     "FilterSpec.from_dict": (
-        lambda v: FilterSpec.from_dict({**FilterSpec().as_dict(), "cutoff_hz": v}),
+        lambda v: FilterSpec.from_dict({**asdict(FilterSpec()), "cutoff_hz": v}),
         "cutoff_hz", -1, 2e6),
     "design_lowpass": (
         lambda v: design_lowpass(FilterSpec(), v), "sample_rate_hz", 0, 13.5e6),
@@ -87,7 +87,7 @@ FLOAT_SITES = {
     "MeasureConfig.snr_cap_db": (
         lambda v: MeasureConfig(snr_cap_db=v), "snr_cap_db", None, 100),
     "MeasureConfig.from_dict": (
-        lambda v: MeasureConfig.from_dict({**MeasureConfig().as_dict(), "full_scale": v}),
+        lambda v: MeasureConfig.from_dict({**asdict(MeasureConfig()), "full_scale": v}),
         "full_scale", -1, 219),
     "Measurement.from_dict.v_ref": (_measurement_with("v_ref"), "v_ref", None, 60),
     "Measurement.from_dict.v_n": (_measurement_with("v_n"), "v_n", -1, 2),
@@ -126,8 +126,8 @@ INT_SITES = {
         lambda v: LineRecord(ROW, frame_index=v), "frame_index", -1, 3),
     "LineRecord.window_start": (lambda v: LineRecord(ROW, window=(v, 60)), "window", -1, 8),
     "LineRecord.window_end": (lambda v: LineRecord(ROW, window=(8, v)), "window", -1, 60),
-    "extract_vbi_lines.window_override": (
-        lambda v: extract_vbi_lines(CAPTURE, window_override=(v, 60)), "window", -1, 8),
+    "LineBlock.window": (
+        lambda v: replace(extract_vbi_lines(CAPTURE), window=(v, 60)), "window", -1, 8),
     "SynthConfig.samples_per_line": (
         lambda v: SynthConfig(samples_per_line=v), "samples_per_line", 15, 64),
     "SynthConfig.lines_per_frame": (
@@ -177,7 +177,7 @@ def test_numpy_scalars_and_ints_are_numbers(call, value):
 )
 def test_worked_out_field_that_disagrees_is_rejected(key, value):
     with pytest.raises(InvalidInputError, match=f"{key} .* disagrees with the computed"):
-        Measurement.from_dict({**MEASUREMENT.as_dict(), key: value})
+        Measurement.from_dict({**asdict(MEASUREMENT), key: value})
 
 
 def _write_header(tmp_path, **kw):

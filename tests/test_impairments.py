@@ -5,17 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vbisnr import SynthConfig, accumulate, extract_vbi_lines, synthesize
+from vbisnr import SynthConfig, accumulate, default_window, extract_vbi_lines, synthesize
+from vbisnr.synth import _quantize
 
 from impairments import (
+    BASE_SIGMA,
+    CLIP_CODES,
     COLOURED_SIGMA,
     COLOURING_TAPS,
-    HUM_BASE_SIGMA,
+    DATA_LEVEL,
     HUM_CODES,
     QUANTIZATION_FLOOR,
     SEEDS,
     TOLERANCE,
+    black_clip,
     coloured_noise,
+    data_line,
     field_hum,
 )
 
@@ -35,10 +40,10 @@ def test_coloured_noise_reads_its_truth_plus_the_floor(seed, bit_depth):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_field_hum_reads_its_truth_plus_the_floor(seed):
-    base = synthesize(SynthConfig(noise_sigma=HUM_BASE_SIGMA, seed=seed))
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
     impaired, truth = field_hum(base)
     assert truth == HUM_CODES**2
-    expected = HUM_BASE_SIGMA**2 + truth + QUANTIZATION_FLOOR
+    expected = BASE_SIGMA**2 + truth + QUANTIZATION_FLOOR
     assert raw_variance(impaired) == pytest.approx(expected, rel=TOLERANCE)
 
 
@@ -56,12 +61,80 @@ def test_impairments_leave_their_input_and_repeat_by_seed():
     first, _ = coloured_noise(clean, seed=SEEDS[0])
     again, _ = coloured_noise(clean, seed=SEEDS[0])
     hum, _ = field_hum(clean)
+    data, _, _ = data_line(clean, seed=SEEDS[0])
+    data_again, _, _ = data_line(clean, seed=SEEDS[0])
+    clipped, _ = black_clip(clean)
     np.testing.assert_array_equal(clean.samples, before)
     np.testing.assert_array_equal(first.samples, again.samples)
-    assert first.header == clean.header == hum.header
-    assert first.samples.dtype == hum.samples.dtype == clean.samples.dtype
+    np.testing.assert_array_equal(data.samples, data_again.samples)
+    for impaired in (first, hum, data, clipped):
+        assert impaired.header == clean.header
+        assert impaired.samples.dtype == clean.samples.dtype
 
 
 def test_coloured_noise_needs_a_noise_free_capture():
     with pytest.raises(ValueError, match="noise-free"):
         coloured_noise(synthesize(SynthConfig(noise_sigma=1.0)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_data_line_reads_its_truth_plus_the_floor(seed):
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed, lines_per_frame=3))
+    impaired, line, truth = data_line(base, seed=seed)
+    assert line == 0
+    expected = BASE_SIGMA**2 + truth + QUANTIZATION_FLOOR
+    assert raw_variance(impaired) == pytest.approx(expected, rel=TOLERANCE)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_data_line_is_the_one_line_that_reads_loud(seed):
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed, lines_per_frame=3))
+    impaired, line, _ = data_line(base, line=1, seed=seed)
+    assert line == 1
+    block = extract_vbi_lines(impaired)
+    # Rows are frame-major, so every third row from i is listed line i.
+    variances = [accumulate(block[i::3]).v_n ** 2 for i in range(3)]
+    assert int(np.argmax(variances)) == line
+    for i in (0, 2):
+        assert variances[i] == pytest.approx(BASE_SIGMA**2 + QUANTIZATION_FLOOR, rel=TOLERANCE)
+
+
+@pytest.mark.parametrize("bit_depth,codes", [(8, 145), (10, 578)])
+def test_data_line_is_two_whole_code_levels_on_its_line(bit_depth, codes):
+    clean = synthesize(SynthConfig(bit_depth=bit_depth, lines_per_frame=3))
+    impaired, line, _ = data_line(clean, line=2, seed=SEEDS[0])
+    assert codes == round(DATA_LEVEL * 219 * 2 ** (bit_depth - 8))
+    added = impaired.samples.astype(np.int64) - clean.samples
+    assert set(np.unique(added[:, line]).tolist()) == {0, codes}
+    assert not added[:, :line].any()
+    # The level changes only where a 6.9375 Mbit/s bit ends, and there about
+    # half the time, as random bits do.
+    ends = np.diff(np.floor(np.arange(864) * (6.9375e6 / 13.5e6))) > 0
+    changes = np.diff(added[:, line], axis=-1) != 0
+    assert not changes[:, ~ends].any()
+    assert 0.45 < changes[:, ends].mean() < 0.55
+
+
+def test_data_line_must_be_listed():
+    with pytest.raises(ValueError, match="not a listed VBI line"):
+        data_line(synthesize(SynthConfig()), line=5)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_clip_count_is_the_one_quantize_gives(seed):
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
+    impaired, truth = black_clip(base)
+    start, end = default_window(864)
+    windows = base.samples[:, :, start:end].astype(np.float64) - CLIP_CODES
+    assert truth == _quantize(windows, 255, np.empty(windows.shape, np.uint8)) > 0
+    assert np.count_nonzero(impaired.samples[:, :, start:end] == 0) >= truth
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_clipping_reads_below_the_band(seed):
+    # Clipping pulls the low tail in, so the estimator reads too little
+    # noise: the failure a clip flag must report.
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
+    impaired, _ = black_clip(base)
+    unclipped = BASE_SIGMA**2 + QUANTIZATION_FLOOR
+    assert raw_variance(impaired) < unclipped * (1 - TOLERANCE)

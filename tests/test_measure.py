@@ -491,7 +491,7 @@ class TestAccumulate:
         # Lines out of order and not adjacent, so the gather is no plain slice.
         header = dataclasses.replace(capture.header, vbi_line_indices=(3, 0, 2))
         capture = CaptureFile(header, capture.samples)
-        block = extract_vbi_lines(capture, frame_range, window)
+        block = dataclasses.replace(extract_vbi_lines(capture, frame_range), window=window)
         records = list(block)
         shuffled = random.Random(5).sample(records, len(records))
         # The records extract_vbi_lines built one by one: mapped rows.
@@ -562,7 +562,9 @@ class TestAccumulate:
         with pytest.raises(InvalidInputError, match="max_frames must be an integer"):
             MeasureConfig(max_frames=max_frames)
         with pytest.raises(InvalidInputError, match="max_frames must be an integer"):
-            MeasureConfig.from_dict({**MeasureConfig().as_dict(), "max_frames": max_frames})
+            MeasureConfig.from_dict(
+                {**dataclasses.asdict(MeasureConfig()), "max_frames": max_frames}
+            )
         limit = MeasureConfig(max_frames=np.int64(2)).max_frames
         assert limit == 2 and type(limit) is int
 
@@ -580,7 +582,7 @@ class TestMeasureConfig:
 
     def test_json_object_lists_the_fields_in_order(self):
         config = MeasureConfig(full_scale=876.0, filter=FilterSpec(cutoff_hz=1.5e6))
-        assert config.as_dict() == {
+        assert dataclasses.asdict(config) == {
             "full_scale": 876.0,
             "max_frames": 30,
             "snr_cap_db": 100.0,
@@ -591,9 +593,10 @@ class TestMeasureConfig:
                 "kind": "windowed-sinc-lowpass",
             },
         }
-        assert list(config.as_dict()) == ["full_scale", "max_frames", "snr_cap_db", "filter"]
-        assert MeasureConfig.from_dict(config.as_dict()) == config
-        assert MeasureConfig().as_dict()["filter"] is None
+        assert list(dataclasses.asdict(config)) == [
+            "full_scale", "max_frames", "snr_cap_db", "filter"]
+        assert MeasureConfig.from_dict(dataclasses.asdict(config)) == config
+        assert dataclasses.asdict(MeasureConfig())["filter"] is None
 
 
 class TestPsnr:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_statistical_recovery_at_64k_samples():
                 samples_per_line=1024,
             )
         )
-        lines = extract_vbi_lines(cap, window_override=(0, 1024))
+        lines = replace(extract_vbi_lines(cap), window=(0, 1024))
         m = accumulate(lines)
         assert m.n_samples == 65536
         if abs(m.snr_db - truth) <= 0.2:
@@ -196,7 +197,7 @@ def test_mean_noise_estimate_tracks_sigma():
                 samples_per_line=1024,
             )
         )
-        lines = extract_vbi_lines(cap, window_override=(0, 1024))
+        lines = replace(extract_vbi_lines(cap), window=(0, 1024))
         estimates.append(accumulate(lines).v_n)
     assert abs(float(np.mean(estimates)) - SIGMA) / SIGMA < 0.01
 
