@@ -168,6 +168,12 @@ def _cmd_measure(args) -> int:
     capture = read_capture(args.infile)
     lines = extract_vbi_lines(capture, frame_range=args.frames)
     result = accumulate(lines, config)
+    # Codes at a rail stand for any level beyond it, so the spread reads low.
+    window, top = lines.samples[:, slice(*lines.window)], (1 << lines.bit_depth) - 1
+    clipped = int(np.count_nonzero((window == 0) | (window == top)))
+    if clipped:
+        print(f"warning: {clipped} of {window.size} window samples sit at code 0 or {top}, "
+              "where the ADC clips; v_n reads low", file=sys.stderr)
     if args.json:
         print(json.dumps(asdict(result), indent=2))
     else:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, _as_float
+from .errors import InvalidInputError, _as_float, _from_dict
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,7 @@ class FilterSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":
-        spec = cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
-        if d["kind"] != spec.kind:
-            raise InvalidInputError(f"unknown filter kind {d['kind']!r}")
-        return spec
+        return _from_dict(cls, d)
 
 
 @functools.lru_cache

@@ -1,9 +1,11 @@
-"""Exception types shared across the library, and the one rule that admits numbers.
+"""Exception types shared across the library, the one rule that admits numbers,
+and the one rule that reads a record back from its JSON object.
 
 The CLI maps these onto its exit-code contract, so new error conditions
 should reuse one of the classes below rather than raising bare exceptions.
 """
 
+import dataclasses
 import math
 import operator
 
@@ -55,3 +57,14 @@ def _as_float(value, what: str, low: float = -math.inf, above: bool = False) -> 
     if low == 0:
         rule = "positive and finite" if above else "non-negative and finite"
     raise InvalidInputError(f"{what} must be {rule}, got {value!r}")
+
+
+def _from_dict(cls, d):
+    # A record from its JSON object: built from its ``init`` fields, while each
+    # field it fixes or works out must agree in value and in type (1 is not true).
+    record = cls(**{f.name: d[f.name] for f in dataclasses.fields(cls) if f.init})
+    for key in (f.name for f in dataclasses.fields(cls) if not f.init):
+        got, want = d[key], getattr(record, key)
+        if not (isinstance(got, type(want)) and got == want):
+            raise InvalidInputError(f"{key} {got!r} disagrees with the computed {want!r}")
+    return record

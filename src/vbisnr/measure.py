@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import dsp
-from .errors import InvalidInputError, MeasurementImpossibleError, _as_float, _as_int
+from .errors import InvalidInputError, MeasurementImpossibleError, _as_float, _as_int, _from_dict
 
 # Nominal 8-bit video signal amplitude: 235 - 16 code units (ITU-R BT.601
 # levels). Wider samples scale proportionally.
@@ -38,6 +38,11 @@ FULL_SCALE_8BIT = 219.0
 DB_FLOOR = -200.0
 
 _LN10 = math.log(10.0)
+
+
+def _full_scale(bit_depth: int) -> float:
+    # The nominal video amplitude in ``bit_depth``-bit codes.
+    return FULL_SCALE_8BIT * 2.0 ** (bit_depth - 8)
 
 
 def default_window(n_samples: int) -> tuple[int, int]:
@@ -220,36 +225,24 @@ class LineBlock(Sequence):
 
 @dataclass(frozen=True)
 class MeasureConfig:
-    """Measurement parameters.
+    """Measurement parameters: the low-pass ``filter``, or ``None`` for raw samples.
 
-    ``full_scale`` of ``None`` means the nominal video range for the line's
-    bit depth: 219 code units at 8 bits, doubling per extra bit. When the
-    noise RMS is exactly zero the SNR is reported as ``snr_cap_db`` with
-    the measurement flagged saturated.
+    The other fields are fixed, and a report lists them. ``full_scale`` of
+    ``None`` means the nominal video range for the line's bit depth: 219
+    code units at 8 bits, doubling per extra bit. At most ``max_frames``
+    frames pool into one measurement, and zero noise reads ``snr_cap_db``.
     """
 
-    full_scale: float | None = None
-    max_frames: int = 30
-    snr_cap_db: float = 100.0
+    full_scale: None = field(default=None, init=False)
+    max_frames: int = field(default=30, init=False)
+    snr_cap_db: float = field(default=100.0, init=False)
     filter: dsp.FilterSpec | None = None
-
-    def __post_init__(self) -> None:
-        if self.full_scale is not None:
-            full_scale = _as_float(self.full_scale, "full_scale", 0, above=True)
-            object.__setattr__(self, "full_scale", full_scale)
-        object.__setattr__(self, "snr_cap_db", _as_float(self.snr_cap_db, "snr_cap_db"))
-        object.__setattr__(self, "max_frames", _as_int(self.max_frames, "max_frames", 1))
-
-    def full_scale_for(self, bit_depth: int) -> float:
-        if self.full_scale is not None:
-            return self.full_scale
-        return FULL_SCALE_8BIT * 2.0 ** (bit_depth - 8)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeasureConfig":
         filt = d["filter"]
         d = {**d, "filter": None if filt is None else dsp.FilterSpec.from_dict(filt)}
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        return _from_dict(cls, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +299,7 @@ def line_spectrum(line: LineRecord, fft_size: int | None = None) -> Spectrum:
     mags[-1] /= 2.0  # Nyquist bin is not mirrored
     mags[0] = abs(mean)
 
-    full_scale = MeasureConfig().full_scale_for(line.bit_depth)
+    full_scale = _full_scale(line.bit_depth)
     floor = full_scale * 10.0 ** (DB_FLOOR / 20.0)
     db = 20.0 * np.log10(np.maximum(mags, floor) / full_scale)
     db.flags.writeable = False
@@ -321,7 +314,7 @@ class Measurement:
     N - 1, so ``n_samples`` is at least 2, and ``frames_used`` at least 1.
     Two fields are worked out, not given: ``error_margin``, the statistical
     uncertainty of ``v_n`` (:func:`error_margin`), and ``saturated``, set
-    when zero noise forced the configured SNR cap.
+    when zero noise forced the SNR cap.
     """
 
     v_ref: float
@@ -345,12 +338,7 @@ class Measurement:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Measurement":
-        result = cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
-        for key in (f.name for f in fields(cls) if not f.init):
-            got, want = d[key], getattr(result, key)
-            if not (isinstance(got, type(want)) and got == want):  # 1 is not true
-                raise InvalidInputError(f"{key} {got!r} disagrees with the computed {want!r}")
-        return result
+        return _from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -379,16 +367,16 @@ def noise_rms(line: LineRecord, v_ref: float) -> float:
     return math.sqrt(float(_squared_deviation(values, v_ref)) / (values.size - 1))
 
 
-def snr_db(v_n: float, config: MeasureConfig, bit_depth: int = 8) -> float:
-    """SNR in dB for a noise RMS.
+def snr_db(v_n: float, bit_depth: int = 8) -> float:
+    """SNR in dB for a noise RMS in ``bit_depth``-bit codes.
 
-    ``20 * log10(full_scale / v_n)`` for positive noise; zero noise returns
-    the configured cap.
+    ``20 * log10(full_scale / v_n)`` against the nominal video amplitude for
+    positive noise; zero noise returns the cap, ``MeasureConfig.snr_cap_db``.
     """
     v_n = _as_float(v_n, "noise RMS", 0)
     if v_n == 0.0:
-        return config.snr_cap_db
-    return 20.0 * math.log10(config.full_scale_for(bit_depth) / v_n)
+        return MeasureConfig.snr_cap_db
+    return 20.0 * math.log10(_full_scale(bit_depth) / v_n)
 
 
 def error_margin(v_n: float, n_samples: int) -> float:
@@ -461,7 +449,7 @@ def accumulate(
     return Measurement(
         v_ref=v_ref,
         v_n=v_n,
-        snr_db=snr_db(v_n, config, lines.bit_depth),
+        snr_db=snr_db(v_n, lines.bit_depth),
         n_samples=n,
         filtered=config.filter is not None,
         frames_used=frames_used,

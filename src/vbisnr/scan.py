@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Mapping
 
 from .capture import CaptureFile, extract_vbi_lines
 from .dsp import FilterSpec
-from .errors import InvalidInputError, MeasurementImpossibleError, _as_float
+from .errors import InvalidInputError, MeasurementImpossibleError, _as_float, _from_dict
 from .measure import MeasureConfig, Measurement, accumulate, error_margin_db
 
 STATUS_MEASURED = "measured"
@@ -165,11 +165,8 @@ def scan(
     """
     if len(plan) == 0:
         raise InvalidInputError("cannot scan an empty channel plan")
-    if config is None:
-        config = MeasureConfig()
-    filt = config.filter if config.filter is not None else FilterSpec()
-    effective = replace(config, filter=filt)
-    raw = replace(config, filter=None)
+    filt = FilterSpec() if config is None or config.filter is None else config.filter
+    raw, effective = MeasureConfig(), MeasureConfig(filter=filt)
 
     rows: list[ScanRow] = []
     ordered = sorted(plan.entries, key=lambda e: (e.video_carrier_mhz, e.designation))
@@ -179,7 +176,7 @@ def scan(
             rows.append(ScanRow(entry, None, None, STATUS_NO_CAPTURE))
             continue
         try:
-            lines = extract_vbi_lines(capture, frame_range=config.max_frames)
+            lines = extract_vbi_lines(capture, frame_range=raw.max_frames)
             snr1 = accumulate(lines, raw)
             snr2 = accumulate(lines, effective)
         except MeasurementImpossibleError:
@@ -255,7 +252,7 @@ def report_from_json(text: str) -> ScanReport:
         payload = json.loads(text)
         rows = tuple(
             ScanRow(
-                channel=ChannelEntry(**{f.name: ch[f.name] for f in fields(ChannelEntry)}),
+                channel=_from_dict(ChannelEntry, ch),
                 snr1=None if ch["snr1"] is None else Measurement.from_dict(ch["snr1"]),
                 snr2=None if ch["snr2"] is None else Measurement.from_dict(ch["snr2"]),
                 status=ch["status"],

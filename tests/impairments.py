@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from vbisnr import CaptureFile, MeasureConfig, default_window
+from vbisnr import CaptureFile, default_window
+from vbisnr.measure import _full_scale
 from vbisnr.synth import _quantize
 
 # Rounding to whole codes adds uniform error of 1/12 LSB^2 (Widrow), once
@@ -108,7 +109,7 @@ def data_line(
     line = header.vbi_line_indices[0] if line is None else line
     if line not in header.vbi_line_indices:
         raise ValueError(f"line {line} is not a listed VBI line")
-    codes = round(DATA_LEVEL * MeasureConfig().full_scale_for(header.bit_depth))
+    codes = round(DATA_LEVEL * _full_scale(header.bit_depth))
     bit_of_sample = np.floor(
         np.arange(header.samples_per_line) * (DATA_RATE_HZ / header.sample_rate_hz)
     ).astype(np.int64)

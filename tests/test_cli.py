@@ -15,15 +15,23 @@ import vbisnr
 from vbisnr import (
     CaptureFile,
     CaptureHeader,
+    FilterSpec,
     LineRecord,
+    MeasureConfig,
     Measurement,
+    SynthConfig,
+    accumulate,
+    default_window,
+    extract_vbi_lines,
     line_spectrum,
     read_capture,
+    synthesize,
     write_capture,
 )
 from vbisnr.cli import main, run
 
 from conftest import DATA_DIR
+from impairments import BASE_SIGMA, SEEDS, black_clip
 
 
 def synth_args(out, **extra):
@@ -145,6 +153,50 @@ class TestMeasure:
 
     def test_missing_input_is_io_failure(self, tmp_path):
         assert main(["measure", "--in", str(tmp_path / "nope.vbi")]) == 2
+
+    @pytest.mark.parametrize("rail,frames", [(0, 30), (0, 5), (255, 30)])
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    def test_clipped_capture_warns_on_stderr(self, tmp_path, capsys, mode, rail, frames):
+        # Black lowered to code 3: the low tail of the noise sits at code 0,
+        # so v_n reads low. Mirrored, the high tail sits at code 255. The
+        # result is printed as before, with one warning.
+        clipped, truth = black_clip(synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=SEEDS[0])))
+        if rail:
+            clipped = CaptureFile(clipped.header, rail - clipped.samples.astype(np.int64))
+        path = tmp_path / "clipped.vbi"
+        write_capture(clipped, path)
+        argv = ["measure", "--in", str(path), "--json", "--filter", mode, "--frames", str(frames)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        start, end = default_window(clipped.header.samples_per_line)
+        pooled = clipped.samples[:frames, list(clipped.header.vbi_line_indices), start:end]
+        rails = int(np.sum(pooled == 0) + np.sum(pooled == 255))
+        assert rails >= (truth if frames == 30 else 1) > 0
+        assert captured.err == (
+            f"warning: {rails} of {pooled.size} window samples sit at code 0 or 255, "
+            "where the ADC clips; v_n reads low\n"
+        )
+        config = MeasureConfig(filter=FilterSpec() if mode == "on" else None)
+        result = accumulate(extract_vbi_lines(clipped, frames), config)
+        assert json.loads(captured.out) == dataclasses.asdict(result)
+
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--bit-depth", "10", "--interferer", "5.5e6,10,0"],
+            ["--sigma", "0"],
+        ],
+        ids=["8-bit", "10-bit-carrier", "noise-free"],
+    )
+    def test_unclipped_capture_leaves_stderr_empty(self, tmp_path, capsys, mode, extra):
+        path = tmp_path / "c.vbi"
+        assert main(synth_args(path) + extra) == 0
+        capsys.readouterr()
+        for json_flag in ([], ["--json"]):
+            assert main(["measure", "--in", str(path), "--filter", mode, *json_flag]) == 0
+            assert capsys.readouterr().err == ""
 
     def test_capture_without_vbi_lines_is_exit_three(self, tmp_path, capsys):
         header = CaptureHeader(

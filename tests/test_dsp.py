@@ -98,7 +98,10 @@ class TestDesign:
             FilterSpec(stopband_atten_db=10.0)
         with pytest.raises(InvalidInputError):
             FilterSpec(cutoff_hz=-1.0)
-        with pytest.raises(InvalidInputError, match="unknown filter kind 'butterworth'"):
+        with pytest.raises(
+            InvalidInputError,
+            match="kind 'butterworth' disagrees with the computed 'windowed-sinc-lowpass'",
+        ):
             FilterSpec.from_dict({**asdict(FilterSpec()), "kind": "butterworth"})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])

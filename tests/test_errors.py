@@ -63,6 +63,11 @@ def _measurement_with(key):
     return lambda value: Measurement.from_dict({**asdict(MEASUREMENT), key: value})
 
 
+def _config_with_cutoff(value):
+    config = asdict(MeasureConfig(filter=FilterSpec()))
+    return MeasureConfig.from_dict({**config, "filter": {**config["filter"], "cutoff_hz": value}})
+
+
 def _built_with(key):
     given = {f.name: getattr(MEASUREMENT, f.name) for f in fields(Measurement) if f.init}
     return lambda value: Measurement(**{**given, key: value})
@@ -82,13 +87,7 @@ FLOAT_SITES = {
         "cutoff_hz", -1, 2e6),
     "design_lowpass": (
         lambda v: design_lowpass(FilterSpec(), v), "sample_rate_hz", 0, 13.5e6),
-    "MeasureConfig.full_scale": (
-        lambda v: MeasureConfig(full_scale=v), "full_scale", 0, 219),
-    "MeasureConfig.snr_cap_db": (
-        lambda v: MeasureConfig(snr_cap_db=v), "snr_cap_db", None, 100),
-    "MeasureConfig.from_dict": (
-        lambda v: MeasureConfig.from_dict({**asdict(MeasureConfig()), "full_scale": v}),
-        "full_scale", -1, 219),
+    "MeasureConfig.from_dict": (_config_with_cutoff, "cutoff_hz", -1, 2e6),
     "Measurement.from_dict.v_ref": (_measurement_with("v_ref"), "v_ref", None, 60),
     "Measurement.from_dict.v_n": (_measurement_with("v_n"), "v_n", -1, 2),
     "Measurement.from_dict.snr_db": (_measurement_with("snr_db"), "snr_db", None, 40),
@@ -116,7 +115,7 @@ FLOAT_SITES = {
     "report_from_json.video_carrier_mhz": (
         _report_with_carrier, "carrier", 30, 112.25),
     "noise_rms.v_ref": (lambda v: noise_rms(LineRecord(ROW), v), "v_ref", None, 60),
-    "snr_db.v_n": (lambda v: snr_db(v, MeasureConfig()), "noise RMS", -1, 2),
+    "snr_db.v_n": (snr_db, "noise RMS", -1, 2),
     "error_margin.v_n": (lambda v: error_margin(v, 100), "noise RMS", -1, 2),
     "psnr.cap_db": (lambda v: psnr(PLANE, PLANE, cap_db=v), "cap_db", None, 100),
 }
@@ -168,16 +167,30 @@ def test_numpy_scalars_and_ints_are_numbers(call, value):
     call(value)
 
 
-# A field a record works out from the others is no argument. A report whose
-# value disagrees with the worked-out one, in value or in type, is invalid.
+# A field a record works out from the others, or that has one legal value, is
+# no argument. A report whose value disagrees with it, in value or in type, is
+# invalid: every record reads back by the same rule.
+DISAGREEING = [
+    (MEASUREMENT, "error_margin", (True, np.True_, "1.5", math.nan, math.inf, -1, 1e-17)),
+    (MEASUREMENT, "saturated", (True, 0, "false", None)),
+    (MeasureConfig(), "max_frames", (29, 2.5, 2.0, 30.0, True, "30", None)),
+    (MeasureConfig(), "full_scale", (219.0, 0, 0.0, math.nan, math.inf, -math.inf, "null", False)),
+    (MeasureConfig(), "snr_cap_db", (77.0, 100, "100.0", math.nan, math.inf, -math.inf, None)),
+    (FilterSpec(), "kind", ("butterworth", None, 1)),
+]
+
+
 @pytest.mark.parametrize(
-    "key,value",
-    [("error_margin", v) for v in (True, np.True_, "1.5", math.nan, math.inf, -1, 1e-17)]
-    + [("saturated", v) for v in (True, 0, "false", None)],
+    "record,key,value",
+    [
+        pytest.param(record, key, value, id=f"{type(record).__name__}.{key}-{value!r}")
+        for record, key, values in DISAGREEING
+        for value in values
+    ],
 )
-def test_worked_out_field_that_disagrees_is_rejected(key, value):
+def test_worked_out_field_that_disagrees_is_rejected(record, key, value):
     with pytest.raises(InvalidInputError, match=f"{key} .* disagrees with the computed"):
-        Measurement.from_dict({**asdict(MEASUREMENT), key: value})
+        type(record).from_dict({**asdict(record), key: value})
 
 
 def _write_header(tmp_path, **kw):

@@ -53,12 +53,11 @@ def test_snr_strictly_decreases_with_noise(a, b):
     if a == b:
         return
     low, high = sorted((a, b))
-    config = MeasureConfig()
     if high > low * (1 + 1e-12):
-        assert snr_db(low, config) > snr_db(high, config)
+        assert snr_db(low) > snr_db(high)
     else:
         # A few ulps of v_n move the dB value by less than its own ulp.
-        assert snr_db(low, config) >= snr_db(high, config)
+        assert snr_db(low) >= snr_db(high)
 
 
 @pytest.mark.parametrize("scale", [2, 3, 5, 10])
@@ -67,14 +66,13 @@ def test_scaling_deviations_shifts_snr_by_log_of_scale(scale):
     deviations = rng.integers(-10, 11, size=500)
     base = (100 + deviations).astype(np.int32)
     scaled = (100 + scale * deviations).astype(np.int32)
-    config = MeasureConfig()
 
     line = LineRecord(samples=base, window=(0, 500))
     line_scaled = LineRecord(samples=scaled, window=(0, 500))
     v_n = noise_rms(line, 100.0)
     v_n_scaled = noise_rms(line_scaled, 100.0)
     assert v_n_scaled == pytest.approx(scale * v_n, rel=1e-12)
-    delta = snr_db(v_n_scaled, config) - snr_db(v_n, config)
+    delta = snr_db(v_n_scaled) - snr_db(v_n)
     assert delta == pytest.approx(-20.0 * math.log10(scale), abs=1e-9)
 
 

@@ -335,6 +335,11 @@ class TestRender:
         [
             ('"v_n": 0.30000000000000004', '"v_n": "abc"'),
             ('"snr_cap_db": 100.0', '"snr_cap_db": "x"'),
+            # Fixed settings: one value, in its type.
+            ('"max_frames": 30', '"max_frames": 29'),
+            ('"full_scale": null', '"full_scale": 219.0'),
+            ('"snr_cap_db": 100.0', '"snr_cap_db": 77.0'),
+            ('"snr_cap_db": 100.0', '"snr_cap_db": 100'),
             ('"filtered": false', '"filtered": "false"'),
             ('"saturated": true', '"saturated": 1'),
             # Worked-out fields that disagree with v_n and n_samples.
