@@ -23,23 +23,19 @@ from .errors import InvalidInputError, _as_float, _from_dict
 class FilterSpec:
     """Low-pass pre-filter description.
 
-    The passband ends at ``cutoff_hz``; the stopband starts at
-    ``cutoff_hz + transition_hz`` and is at least ``stopband_atten_db``
-    down from there on. ``kind`` names the one design there is, so it is fixed.
+    The passband ends at ``cutoff_hz``, the one setting. The stopband starts
+    ``transition_hz`` (0.5 MHz) above it and is at least ``stopband_atten_db``
+    (60 dB) down from there on. Those two and ``kind``, the one design there
+    is, are fixed.
     """
 
     cutoff_hz: float = 2.0e6
-    transition_hz: float = 0.5e6
-    stopband_atten_db: float = 60.0
+    transition_hz: float = field(default=0.5e6, init=False)
+    stopband_atten_db: float = field(default=60.0, init=False)
     kind: str = field(default="windowed-sinc-lowpass", init=False)
 
     def __post_init__(self) -> None:
-        for key, low, above in (
-            ("cutoff_hz", 0, True),
-            ("transition_hz", 0, True),
-            ("stopband_atten_db", 20, False),
-        ):
-            object.__setattr__(self, key, _as_float(getattr(self, key), key, low, above))
+        object.__setattr__(self, "cutoff_hz", _as_float(self.cutoff_hz, "cutoff_hz", 0, above=True))
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":
@@ -51,8 +47,8 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
     """Design the FIR taps for ``spec`` at the given sample rate.
 
     Returns an odd-length, exactly symmetric tap vector with unity DC gain.
-    The length comes from the Kaiser estimate for the requested stopband
-    attenuation over the requested transition width; the estimate is
+    The length comes from the Kaiser estimate for the fixed stopband
+    attenuation over the fixed transition width; the estimate is
     checked against the realized response at the stopband edge and the
     filter is lengthened if it falls short. The taps are read-only and
     cached per ``(spec, sample_rate_hz)``, so equal arguments return the
@@ -84,13 +80,9 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
 
 
 def _kaiser_order(atten_db: float, width: float) -> tuple[int, float]:
-    """Kaiser's (1974) filter length and window beta; ``width`` is a fraction of Nyquist."""
-    if atten_db > 50:
-        beta = 0.1102 * (atten_db - 8.7)
-    elif atten_db > 21:
-        beta = 0.5842 * (atten_db - 21) ** 0.4 + 0.07886 * (atten_db - 21)
-    else:
-        beta = 0.0
+    """Kaiser's (1974) filter length and window beta for a stopband more than
+    50 dB down; ``width`` is a fraction of Nyquist."""
+    beta = 0.1102 * (atten_db - 8.7)
     return math.ceil((atten_db - 7.95) / 2.285 / (math.pi * width) + 1), beta
 
 

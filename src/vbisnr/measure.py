@@ -40,9 +40,17 @@ DB_FLOOR = -200.0
 _LN10 = math.log(10.0)
 
 
-def _full_scale(bit_depth: int) -> float:
+def _bit_depth(bit_depth) -> int:
+    # The width of an ADC code: 8..10 bits.
+    bit_depth = _as_int(bit_depth, "bit_depth")
+    if not 8 <= bit_depth <= 10:
+        raise InvalidInputError(f"bit_depth must be 8..10, got {bit_depth}")
+    return bit_depth
+
+
+def _full_scale(bit_depth) -> float:
     # The nominal video amplitude in ``bit_depth``-bit codes.
-    return FULL_SCALE_8BIT * 2.0 ** (bit_depth - 8)
+    return FULL_SCALE_8BIT * 2.0 ** (_bit_depth(bit_depth) - 8)
 
 
 def default_window(n_samples: int) -> tuple[int, int]:
@@ -79,10 +87,7 @@ def _admit_codes(samples: np.ndarray, bit_depth: int, dtype: np.dtype) -> np.nda
 def _line_format(bit_depth, sample_rate_hz) -> tuple[int, float]:
     # The ADC format of a line, a block or a capture: 8..10-bit codes at a
     # positive rate.
-    bit_depth = _as_int(bit_depth, "bit_depth")
-    if not 8 <= bit_depth <= 10:
-        raise InvalidInputError(f"bit_depth must be 8..10, got {bit_depth}")
-    return bit_depth, _as_float(sample_rate_hz, "sample_rate_hz", 0, above=True)
+    return _bit_depth(bit_depth), _as_float(sample_rate_hz, "sample_rate_hz", 0, above=True)
 
 
 def _check_window(window, n_samples: int, line_frame) -> tuple[int, int]:
@@ -374,9 +379,10 @@ def snr_db(v_n: float, bit_depth: int = 8) -> float:
     positive noise; zero noise returns the cap, ``MeasureConfig.snr_cap_db``.
     """
     v_n = _as_float(v_n, "noise RMS", 0)
+    full_scale = _full_scale(bit_depth)
     if v_n == 0.0:
         return MeasureConfig.snr_cap_db
-    return 20.0 * math.log10(_full_scale(bit_depth) / v_n)
+    return 20.0 * math.log10(full_scale / v_n)
 
 
 def error_margin(v_n: float, n_samples: int) -> float:

@@ -354,6 +354,31 @@ class TestScan:
         assert report.rows[0].channel.designation == "S02"
         assert report.rows[0].snr1 is not None
 
+    def test_filter_cutoff_reaches_measure_and_scan_alike(
+        self, tmp_path, interferer_file, capsys
+    ):
+        captures = tmp_path / "captures"
+        captures.mkdir()
+        (captures / "S02.vbi").write_bytes(interferer_file.read_bytes())
+        plan_path = tmp_path / "plan.csv"
+        plan_path.write_text("designation,name,video_carrier_mhz\nS02,TVR1,112.25\n")
+        capsys.readouterr()
+        readings = {}
+        for cutoff in ("1.5e6", "2e6"):
+            assert main(
+                ["measure", "--in", str(interferer_file), "--filter", "on",
+                 "--cutoff-hz", cutoff, "--json"]
+            ) == 0
+            measured = json.loads(capsys.readouterr().out)["snr_db"]
+            assert main(
+                ["scan", "--plan", str(plan_path), "--captures-dir", str(captures),
+                 "--filter-cutoff", cutoff, "--format", "json"]
+            ) == 0
+            scanned = json.loads(capsys.readouterr().out)["channels"][0]["snr2"]["snr_db"]
+            assert measured == scanned, cutoff
+            readings[cutoff] = measured
+        assert readings["1.5e6"] != readings["2e6"]
+
     def test_csv_schema_matches_golden_file(self, tmp_path, plan_text):
         golden = (DATA_DIR / "golden_scan.csv").read_text()
         plan_path = tmp_path / "plan.csv"

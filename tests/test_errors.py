@@ -78,10 +78,6 @@ def _built_with(key):
 # as np.float32; an integer site takes it as np.int64.
 FLOAT_SITES = {
     "FilterSpec.cutoff_hz": (lambda v: FilterSpec(cutoff_hz=v), "cutoff_hz", 0, 2e6),
-    "FilterSpec.transition_hz": (
-        lambda v: FilterSpec(transition_hz=v), "transition_hz", 0, 5e5),
-    "FilterSpec.stopband_atten_db": (
-        lambda v: FilterSpec(stopband_atten_db=v), "stopband_atten_db", 10, 60),
     "FilterSpec.from_dict": (
         lambda v: FilterSpec.from_dict({**asdict(FilterSpec()), "cutoff_hz": v}),
         "cutoff_hz", -1, 2e6),
@@ -137,6 +133,7 @@ INT_SITES = {
     "Measurement.frames_used": (_built_with("frames_used"), "frames_used", 0, 30),
     "error_margin.n_samples": (lambda v: error_margin(2.0, v), "n_samples", 0, 100),
     "error_margin_db.n_samples": (lambda v: error_margin_db(v), "n_samples", 0, 100),
+    "snr_db.bit_depth": (lambda v: snr_db(1.0, v), "bit_depth", 7, 10),
     "line_spectrum.fft_size": (
         lambda v: line_spectrum(LineRecord(ROW), v), "fft_size", 0, 64),
 }
@@ -176,6 +173,8 @@ DISAGREEING = [
     (MeasureConfig(), "max_frames", (29, 2.5, 2.0, 30.0, True, "30", None)),
     (MeasureConfig(), "full_scale", (219.0, 0, 0.0, math.nan, math.inf, -math.inf, "null", False)),
     (MeasureConfig(), "snr_cap_db", (77.0, 100, "100.0", math.nan, math.inf, -math.inf, None)),
+    (FilterSpec(), "transition_hz", (400000.0, 500000, "500000.0", math.nan, None)),
+    (FilterSpec(), "stopband_atten_db", (40.0, 60, True, None)),
     (FilterSpec(), "kind", ("butterworth", None, 1)),
 ]
 

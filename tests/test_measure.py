@@ -302,6 +302,11 @@ class TestSnrDb:
         assert _full_scale(10) == 876.0
         assert snr_db(876.0, 10) == snr_db(219.0, 8) == 0.0
 
+    @pytest.mark.parametrize("v_n", [1.0, 0.0])
+    def test_bit_depth_outside_8_to_10_rejected(self, v_n):
+        with pytest.raises(InvalidInputError, match="bit_depth must be 8..10, got 11"):
+            snr_db(v_n, 11)
+
 
 class TestErrorMargin:
     def test_simple_values(self):
@@ -324,7 +329,7 @@ class TestErrorMargin:
     "record,given,worked_out",
     [
         (Measurement, 6, ["error_margin", "saturated"]),
-        (FilterSpec, 3, ["kind"]),
+        (FilterSpec, 1, ["transition_hz", "stopband_atten_db", "kind"]),
         (CaptureHeader, 8, ["format_version"]),
         (Spectrum, 2, []),
         (PsnrResult, 4, ["saturated"]),

@@ -347,6 +347,8 @@ class TestRender:
             ('"error_margin": 0.0014208597855814762', '"error_margin": 1e-17'),
             ('"error_margin": 0.0,', '"error_margin": 0,'),
             ('"kind": "windowed-sinc-lowpass"', '"kind": "butterworth"'),
+            ('"transition_hz": 500000.0', '"transition_hz": 400000.0'),
+            ('"stopband_atten_db": 60.0', '"stopband_atten_db": 60'),
             ('"n_samples": 44580', '"n_samples": 44580.7'),
             ('"frames_used": 30', '"frames_used": "30"'),
             ('"designation": "S02"', '"designation": 5'),
