@@ -75,7 +75,7 @@ class TestDesign:
         ):
             design_lowpass(FilterSpec(cutoff_hz=6.5e6), FS)
 
-    @pytest.mark.parametrize("atten", [60.0, 80.0])
+    @pytest.mark.parametrize("atten", [55.0, 60.0, 80.0])
     @pytest.mark.parametrize("width", [0.01, 0.5e6 / 6.75e6, 0.2, 0.5])
     def test_kaiser_order_matches_scipy(self, scipy_signal, atten, width):
         assert _kaiser_order(atten, width) == scipy_signal.kaiserord(atten, width)
@@ -110,6 +110,11 @@ class TestDesign:
             match="kind 'butterworth' disagrees with the computed 'windowed-sinc-lowpass'",
         ):
             FilterSpec.from_dict({**asdict(FilterSpec()), "kind": "butterworth"})
+
+    @pytest.mark.parametrize("field", ["transition_hz", "stopband_atten_db", "kind"])
+    def test_fixed_fields_are_not_arguments(self, field):
+        with pytest.raises(TypeError, match=field):
+            FilterSpec(**{field: asdict(FilterSpec())[field]})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_spec_rejected(self, value):
