@@ -64,6 +64,14 @@ def _parse_interferer(text: str) -> tuple[float, float, float]:
     return (freq, amp, phase)
 
 
+def _read_text(path: str | Path) -> str:
+    # Text inputs are UTF-8; a spreadsheet's "CSV UTF-8" starts with a byte-order mark.
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -75,27 +83,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vbisnr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic capture file")
-    p.add_argument("--sigma", type=float, default=SynthConfig.noise_sigma,
+    # An absent flag leaves SynthConfig's own default; each dest is its field.
+    p = sub.add_parser("synth", help="generate a synthetic capture file",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--sigma", type=float, dest="noise_sigma", metavar="SIGMA",
                    help="Gaussian noise RMS in code units")
-    p.add_argument("--black-level", type=float, default=SynthConfig.black_level)
+    p.add_argument("--black-level", type=float)
     p.add_argument(
         "--interferer",
         action="append",
-        default=[],
+        dest="interferers",
         metavar="FREQ,AMP[,PHASE]",
         help="add a sinusoidal interferer (repeatable)",
     )
-    p.add_argument("--frames", type=int, default=SynthConfig.frames)
-    p.add_argument("--seed", type=int, default=SynthConfig.seed)
-    p.add_argument("--vbi-lines", type=int, default=SynthConfig.lines_per_frame,
+    p.add_argument("--frames", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--vbi-lines", type=int, dest="lines_per_frame", metavar="VBI_LINES",
                    help="VBI lines per frame")
-    p.add_argument("--samples-per-line", type=int, default=SynthConfig.samples_per_line)
-    p.add_argument("--sample-rate", type=float, default=SynthConfig.sample_rate_hz)
-    p.add_argument("--bit-depth", type=int, default=SynthConfig.bit_depth)
-    p.add_argument("--sync", action="store_true", default=SynthConfig.sync,
-                   help="include a sync/burst region")
-    p.add_argument("--label", default=SynthConfig.channel_label,
+    p.add_argument("--samples-per-line", type=int)
+    p.add_argument("--sample-rate", type=float, dest="sample_rate_hz", metavar="SAMPLE_RATE")
+    p.add_argument("--bit-depth", type=int)
+    p.add_argument("--sync", action="store_true", help="include a sync/burst region")
+    p.add_argument("--label", dest="channel_label", metavar="LABEL",
                    help="channel label for the header")
     p.add_argument("--out", required=True)
 
@@ -136,20 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    config = SynthConfig(
-        black_level=args.black_level,
-        noise_sigma=args.sigma,
-        interferers=tuple(_parse_interferer(s) for s in args.interferer),
-        seed=args.seed,
-        samples_per_line=args.samples_per_line,
-        sample_rate_hz=args.sample_rate,
-        bit_depth=args.bit_depth,
-        frames=args.frames,
-        lines_per_frame=args.vbi_lines,
-        sync=args.sync,
-        channel_label=args.label,
-    )
-    capture = synthesize(config)
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    if "interferers" in settings:
+        settings["interferers"] = [_parse_interferer(s) for s in settings["interferers"]]
+    capture = synthesize(SynthConfig(**settings))
     write_capture(capture, args.out)
     print(f"wrote {args.out}: clip_count={capture.header.extra['clip_count']}",
           file=sys.stderr)
@@ -219,12 +218,11 @@ class _CaptureDirectory(Mapping):
 
 
 def _cmd_scan(args) -> int:
-    plan = parse_plan(Path(args.plan).read_text())
+    plan = parse_plan(_read_text(args.plan))
     directory = Path(args.captures_dir)
     if not directory.is_dir():
         raise FileNotFoundError(f"captures directory not found: {directory}")
-    config = MeasureConfig(filter=FilterSpec(cutoff_hz=args.filter_cutoff))
-    report = scan(plan, _CaptureDirectory(directory), config)
+    report = scan(plan, _CaptureDirectory(directory), FilterSpec(cutoff_hz=args.filter_cutoff))
     _write_text(render_report(report, args.format), args.out)
     return EXIT_OK
 
@@ -237,7 +235,7 @@ def _load_plane(path: str, bits: int, width: int | None, height: int | None) -> 
                 f"{path}: supply --width/--height or a {sidecar.name} sidecar"
             )
         fields = {}
-        for line in sidecar.read_text().splitlines():
+        for line in _read_text(sidecar).splitlines():
             if not line.strip():
                 continue
             if "=" not in line:
@@ -321,7 +319,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_plan_validate(args) -> int:
-    plan = parse_plan(Path(args.plan).read_text())
+    plan = parse_plan(_read_text(args.plan))
     print(f"plan ok: {len(plan)} channels")
     return EXIT_OK
 

@@ -474,15 +474,14 @@ def psnr(
     original,
     decoded,
     bits_per_pixel: int = 8,
-    cap_db: float = 100.0,
     channel_labels: Sequence[str] | None = None,
 ) -> PsnrResult:
     """Peak SNR between two equally shaped pixel planes.
 
     2-D inputs are a single plane; 3-D inputs are height x width x channels
     and additionally get a per-channel breakdown while ``mse``/``psnr_db``
-    stay pooled over all pixels. Zero MSE reports ``cap_db`` and sets the
-    saturation flag.
+    stay pooled over all pixels. Zero MSE reads the SNR cap,
+    ``MeasureConfig.snr_cap_db``, and sets the saturation flag.
     """
     a = np.asarray(original)
     b = np.asarray(decoded)
@@ -491,7 +490,6 @@ def psnr(
     if a.ndim not in (2, 3):
         raise InvalidInputError(f"expected a 2-D or 3-D pixel plane, got {a.ndim}-D")
     bits_per_pixel = _pixel_bits(bits_per_pixel)
-    cap_db = _as_float(cap_db, "cap_db")
 
     diff = a.astype(np.float64) - b.astype(np.float64)
     sq = np.square(diff)
@@ -499,7 +497,7 @@ def psnr(
 
     def one(mse: float) -> float:
         if mse == 0.0:
-            return cap_db
+            return MeasureConfig.snr_cap_db
         return 10.0 * math.log10(peak * peak / mse)
 
     mse = float(np.mean(sq))

@@ -149,24 +149,25 @@ def parse_plan(text: str) -> ChannelPlan:
 def scan(
     plan: ChannelPlan,
     source: Mapping[str, CaptureFile],
-    config: MeasureConfig | None = None,
+    filter: FilterSpec = FilterSpec(),
     *,
     timestamp: str | None = None,
 ) -> ScanReport:
     """Measure every channel of ``plan`` that has a capture in ``source``.
 
-    Each captured channel gets snr1 (unfiltered) and snr2 (filtered with
-    ``config.filter``, defaulting to the 2 MHz low-pass) from the same
-    pooled VBI samples. Channels without captures become no-capture rows;
-    captures that cannot be measured are skipped with their own status.
+    Each captured channel gets snr1 (unfiltered) and snr2 (low-passed by
+    ``filter``, by default the 2 MHz one) from the same pooled VBI samples.
+    Channels without captures become no-capture rows; captures that cannot
+    be measured are skipped with their own status.
     A setting that a capture cannot support, such as a cutoff at or above
     its Nyquist frequency, is invalid input and ends the scan, as it ends
     a single measurement.
     """
     if len(plan) == 0:
         raise InvalidInputError("cannot scan an empty channel plan")
-    filt = FilterSpec() if config is None or config.filter is None else config.filter
-    raw, effective = MeasureConfig(), MeasureConfig(filter=filt)
+    if not isinstance(filter, FilterSpec):
+        raise InvalidInputError(f"the snr2 filter must be a FilterSpec, got {filter!r}")
+    raw, effective = MeasureConfig(), MeasureConfig(filter=filter)
 
     rows: list[ScanRow] = []
     ordered = sorted(plan.entries, key=lambda e: (e.video_carrier_mhz, e.designation))

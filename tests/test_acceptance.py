@@ -138,7 +138,7 @@ def test_criterion_4_noise_rms_oracle_equivalence():
 def test_criterion_5_psnr_spot_values():
     started = time.perf_counter()
     plane = (np.arange(256, dtype=np.int32) % 256).reshape(16, 16)
-    same = psnr(plane, plane, bits_per_pixel=8, cap_db=100.0)
+    same = psnr(plane, plane, bits_per_pixel=8)
     assert same.saturated and same.psnr_db == 100.0 and same.mse == 0.0
 
     zeros = np.zeros((16, 16), dtype=np.int32)

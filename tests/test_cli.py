@@ -34,6 +34,9 @@ from conftest import DATA_DIR
 from impairments import BASE_SIGMA, SEEDS, black_clip
 
 
+ONE_CHANNEL_PLAN = "designation,name,video_carrier_mhz\nS02,TVR1,112.25\n"
+
+
 def synth_args(out, **extra):
     args = ["synth", "--sigma", "2.19", "--seed", "7", "--out", str(out)]
     for key, value in extra.items():
@@ -85,6 +88,36 @@ class TestSynth:
 
     def test_unwritable_output_is_io_failure(self, tmp_path):
         assert main(synth_args(tmp_path / "missing" / "x.vbi")) == 2
+
+    @pytest.mark.parametrize(
+        "flags,config",
+        [
+            ([], SynthConfig()),
+            (
+                ["--sigma", "1.5", "--black-level", "70", "--interferer", "5.5e6,10,0.5",
+                 "--interferer", "4.43e6,3", "--frames", "4", "--seed", "11",
+                 "--vbi-lines", "3", "--samples-per-line", "400", "--sample-rate", "27e6",
+                 "--bit-depth", "10", "--sync", "--label", "TVR1"],
+                SynthConfig(
+                    noise_sigma=1.5, black_level=70.0,
+                    interferers=((5.5e6, 10.0, 0.5), (4.43e6, 3.0, 0.0)), frames=4,
+                    seed=11, lines_per_frame=3, samples_per_line=400, sample_rate_hz=27e6,
+                    bit_depth=10, sync=True, channel_label="TVR1",
+                ),
+            ),
+        ],
+        ids=["no-flags", "every-flag"],
+    )
+    def test_each_flag_reaches_its_field(self, tmp_path, flags, config):
+        # The full set leaves no field at its default, so a field without a
+        # flag, or a flag bound to the wrong field, changes the bytes.
+        if flags:
+            fields = [f for f in dataclasses.fields(SynthConfig) if f.init]
+            assert all(getattr(config, f.name) != f.default for f in fields)
+        cli, lib = tmp_path / "cli.vbi", tmp_path / "lib.vbi"
+        assert main(["synth", *flags, "--out", str(cli)]) == 0
+        write_capture(synthesize(config), lib)
+        assert cli.read_bytes() == lib.read_bytes()
 
 
 class TestMeasure:
@@ -477,6 +510,17 @@ class TestPsnr:
         assert out == ""
         assert err == f"error: {tmp_path / 'a.raw.hdr'}: {fault}\n"
 
+    def test_sidecar_that_is_not_utf8_is_exit_one(self, tmp_path, capsys):
+        a = tmp_path / "a.raw"
+        write_plane(a, np.zeros((6, 5)))
+        sidecar = tmp_path / "a.raw.hdr"
+        sidecar.write_bytes(b"width=5\nheight=6\nsource=TVR\xe3\n")
+        assert main(["psnr", "--original", str(a), "--decoded", str(a)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        fault = "'utf-8' codec can't decode byte 0xe3 in position 27: invalid continuation byte"
+        assert err == f"error: {sidecar}: {fault}\n"
+
     def test_shape_mismatch_is_exit_one(self, tmp_path, capsys):
         a, b = tmp_path / "a.raw", tmp_path / "b.raw"
         write_plane(a, np.zeros((8, 8)))
@@ -586,6 +630,33 @@ class TestPlanValidate:
 
     def test_missing_plan_file_is_io_failure(self, tmp_path):
         assert main(["plan-validate", "--plan", str(tmp_path / "nope.csv")]) == 2
+
+    def test_byte_order_mark_plan_validates_and_scans(self, tmp_path, capsys):
+        # A spreadsheet's "CSV UTF-8" starts with a byte-order mark.
+        plan = tmp_path / "plan.csv"
+        plan.write_bytes(b"\xef\xbb\xbf" + ONE_CHANNEL_PLAN.encode())
+        make_captures(tmp_path, ["S02"])
+        assert main(["plan-validate", "--plan", str(plan)]) == 0
+        assert main(
+            ["scan", "--plan", str(plan), "--captures-dir", str(tmp_path), "--format", "csv"]
+        ) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "plan ok: 1 channels"
+        assert out[2].startswith("S02,TVR1,112.25,") and out[2].endswith(",measured")
+
+    @pytest.mark.parametrize("command", ["plan-validate", "scan"])
+    def test_plan_that_is_not_utf8_is_exit_one(self, tmp_path, capsys, command):
+        # cp1250 writes the Romanian "ă" as the single byte 0xE3.
+        plan = tmp_path / "plan.csv"
+        plan.write_bytes(ONE_CHANNEL_PLAN.replace("TVR1", "TVRă").encode("cp1250"))
+        args = [command, "--plan", str(plan)]
+        if command == "scan":
+            args += ["--captures-dir", str(tmp_path)]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        fault = "'utf-8' codec can't decode byte 0xe3 in position 42: invalid continuation byte"
+        assert err == f"error: {plan}: {fault}\n"
 
 
 def test_console_script_entry_exits_with_the_status(clean_file, monkeypatch, capsys):

@@ -30,7 +30,6 @@ from vbisnr import (
     extract_vbi_lines,
     line_spectrum,
     noise_rms,
-    psnr,
     render_report,
     report_from_json,
     snr_db,
@@ -41,7 +40,6 @@ from vbisnr.scan import ScanReport, ScanRow
 
 ROW = np.full(64, 60, dtype=np.uint8)
 CAPTURE = synthesize(SynthConfig(frames=1, samples_per_line=64))
-PLANE = np.zeros((4, 4), dtype=np.uint8)
 MEASUREMENT = Measurement(60.0, 2.0, 40.0, 44580, False, 30)
 REPORT = json.loads(render_report(
     ScanReport(
@@ -113,7 +111,6 @@ FLOAT_SITES = {
     "noise_rms.v_ref": (lambda v: noise_rms(LineRecord(ROW), v), "v_ref", None, 60),
     "snr_db.v_n": (snr_db, "noise RMS", -1, 2),
     "error_margin.v_n": (lambda v: error_margin(v, 100), "noise RMS", -1, 2),
-    "psnr.cap_db": (lambda v: psnr(PLANE, PLANE, cap_db=v), "cap_db", None, 100),
 }
 INT_SITES = {
     "LineRecord.line_index": (lambda v: LineRecord(ROW, line_index=v), "line_index", -1, 3),

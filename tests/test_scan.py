@@ -170,9 +170,15 @@ class TestScan:
             scan(ChannelPlan(entries=()), {})
 
     def test_cutoff_at_nyquist_ends_the_scan(self, small_plan):
-        config = MeasureConfig(filter=FilterSpec(cutoff_hz=7e6))
         with pytest.raises(InvalidInputError, match=r"reaches Nyquist \(6750000.0 Hz\)"):
-            scan(small_plan, {"S02": synthesize(quick_config(seed=1))}, config)
+            scan(small_plan, {"S02": synthesize(quick_config(seed=1))}, FilterSpec(cutoff_hz=7e6))
+
+    @pytest.mark.parametrize(
+        "filt", [None, MeasureConfig(filter=FilterSpec())], ids=["None", "MeasureConfig"]
+    )
+    def test_filter_must_be_a_filter_spec(self, small_plan, filt):
+        with pytest.raises(InvalidInputError, match="must be a FilterSpec"):
+            scan(small_plan, {}, filt)
 
 
 class TestScanRow:
