@@ -72,11 +72,15 @@ def _read_text(path: str | Path) -> str:
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
+def _write_report(text: str, out: str | None) -> None:
+    # --out is UTF-8, as _read_text reads; stdout takes text, so a StringIO may stand in.
+    if out is not None:
+        Path(out).write_text(text, encoding="utf-8")
+        return
+    try:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    except UnicodeEncodeError as exc:
+        raise OSError(f"stdout cannot encode the report ({exc}); use --out") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sync", action="store_true", help="include a sync/burst region")
     p.add_argument("--label", dest="channel_label", metavar="LABEL",
                    help="channel label for the header")
-    p.add_argument("--out", required=True)
+    # Not ``out``: that is where a command's report goes, and synth writes none.
+    p.add_argument("--out", dest="path", metavar="OUT", required=True)
 
     p = sub.add_parser("measure", help="measure SNR of a capture")
     p.add_argument("--in", dest="infile", required=True)
@@ -144,18 +149,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_synth(args) -> int:
-    settings = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+def _cmd_synth(args) -> str:
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "path")}
     if "interferers" in settings:
         settings["interferers"] = [_parse_interferer(s) for s in settings["interferers"]]
     capture = synthesize(SynthConfig(**settings))
-    write_capture(capture, args.out)
-    print(f"wrote {args.out}: clip_count={capture.header.extra['clip_count']}",
+    write_capture(capture, args.path)
+    print(f"wrote {args.path}: clip_count={capture.header.extra['clip_count']}",
           file=sys.stderr)
-    return EXIT_OK
+    return ""
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args) -> str:
     limit = MeasureConfig.max_frames
     if args.frames > limit:
         raise InvalidInputError(f"--frames may not exceed the {limit}-frame limit")
@@ -174,18 +179,15 @@ def _cmd_measure(args) -> int:
         print(f"warning: {clipped} of {window.size} window samples sit at code 0 or {top}, "
               "where the ADC clips; v_n reads low", file=sys.stderr)
     if args.json:
-        print(json.dumps(asdict(result), indent=2))
-    else:
-        print(f"v_ref {result.v_ref:.4f}")
-        print(f"v_n {result.v_n:.4f}")
-        print(f"snr_db {result.snr_db:.1f}")
-        print(f"error_margin {result.error_margin:.6f}")
-        print(f"n_samples {result.n_samples}")
-        print(f"frames_used {result.frames_used}")
-        print(f"filtered {'on' if result.filtered else 'off'}")
-        if result.saturated:
-            print("saturated true")
-    return EXIT_OK
+        return json.dumps(asdict(result), indent=2) + "\n"
+    return (f"v_ref {result.v_ref:.4f}\n"
+            f"v_n {result.v_n:.4f}\n"
+            f"snr_db {result.snr_db:.1f}\n"
+            f"error_margin {result.error_margin:.6f}\n"
+            f"n_samples {result.n_samples}\n"
+            f"frames_used {result.frames_used}\n"
+            f"filtered {'on' if result.filtered else 'off'}\n"
+            + ("saturated true\n" if result.saturated else ""))
 
 
 class _CaptureDirectory(Mapping):
@@ -207,7 +209,9 @@ class _CaptureDirectory(Mapping):
         try:
             return read_capture(path)
         except (CaptureFormatError, OSError) as exc:
-            print(f"warning: skipping {path}: {exc}", file=sys.stderr)
+            # A CaptureFormatError's message starts with the path; an OSError's ends with it.
+            reason = f"{path}: {exc.strerror}" if isinstance(exc, OSError) else exc
+            print(f"warning: skipping {reason}", file=sys.stderr)
             raise KeyError(designation) from exc
 
     def __iter__(self):
@@ -217,14 +221,13 @@ class _CaptureDirectory(Mapping):
         return 0
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> str:
     plan = parse_plan(_read_text(args.plan))
     directory = Path(args.captures_dir)
     if not directory.is_dir():
         raise FileNotFoundError(f"captures directory not found: {directory}")
     report = scan(plan, _CaptureDirectory(directory), FilterSpec(cutoff_hz=args.filter_cutoff))
-    _write_text(render_report(report, args.format), args.out)
-    return EXIT_OK
+    return render_report(report, args.format)
 
 
 def _load_plane(path: str, bits: int, width: int | None, height: int | None) -> np.ndarray:
@@ -274,22 +277,20 @@ def _load_plane(path: str, bits: int, width: int | None, height: int | None) -> 
     )
 
 
-def _cmd_psnr(args) -> int:
+def _cmd_psnr(args) -> str:
     bits = _pixel_bits(args.bits)
     original = _load_plane(args.original, bits, args.width, args.height)
     decoded = _load_plane(args.decoded, bits, args.width, args.height)
     result = psnr(original, decoded, bits_per_pixel=bits)
-    print(f"mse {result.mse:.6f}")
-    print(f"psnr_db {result.psnr_db:.1f}")
+    text = f"mse {result.mse:.6f}\npsnr_db {result.psnr_db:.1f}\n"
     if result.saturated:
-        print("saturated true")
+        text += "saturated true\n"
     if args.per_channel and result.per_channel is not None:
-        for label, value in result.per_channel:
-            print(f"{label} {value:.1f}")
-    return EXIT_OK
+        text += "".join(f"{label} {value:.1f}\n" for label, value in result.per_channel)
+    return text
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> str:
     capture = read_capture(args.infile)
     header = capture.header
     if not 0 <= args.frame < header.frames:
@@ -314,14 +315,12 @@ def _cmd_spectrum(args) -> int:
     rows = ["frequency_hz,magnitude_db"]
     for f, db in zip(spectrum.frequencies_hz(), spectrum.magnitudes_db):
         rows.append(f"{float(f)!r},{float(db)!r}")
-    _write_text("\n".join(rows) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(rows) + "\n"
 
 
-def _cmd_plan_validate(args) -> int:
+def _cmd_plan_validate(args) -> str:
     plan = parse_plan(_read_text(args.plan))
-    print(f"plan ok: {len(plan)} channels")
-    return EXIT_OK
+    return f"plan ok: {len(plan)} channels\n"
 
 
 _COMMANDS = {
@@ -338,7 +337,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        _write_report(_COMMANDS[args.command](args), getattr(args, "out", None))
+        return EXIT_OK
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -52,8 +52,7 @@ def _as_float(value, what: str, low: float = -math.inf, above: bool = False) -> 
             number = math.nan
         if math.isfinite(number) and (number > low if above else number >= low):
             return number
-    word = "above" if above else "at least"
-    rule = "finite" if low == -math.inf else f"finite and {word} {low:g}"
+    rule = "finite"
     if low == 0:
         rule = "positive and finite" if above else "non-negative and finite"
     raise InvalidInputError(f"{what} must be {rule}, got {value!r}")

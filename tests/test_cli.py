@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,7 +66,8 @@ class TestSynth:
     def test_writes_capture_with_frame_count(self, tmp_path, capsys):
         out = tmp_path / "a.vbi"
         assert main(synth_args(out, frames=30)) == 0
-        err = capsys.readouterr().err
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
         assert "clip_count=0" in err
         from vbisnr import read_capture
 
@@ -283,19 +287,27 @@ class TestScan:
         assert len(rows) == 16
         assert all(row.endswith("no-capture") for row in rows)
 
-    def test_corrupt_capture_downgrades_to_no_capture(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fault", ["malformed", "unreadable"])
+    def test_corrupt_capture_downgrades_to_no_capture(self, tmp_path, capsys, fault):
+        # The warning names the file once, then says what is wrong with it.
         plan_path = tmp_path / "plan.csv"
         plan_path.write_text(
             "designation,name,video_carrier_mhz\nS02,TVR1,112.25\n"
         )
-        (tmp_path / "S02.vbi").write_bytes(b"garbage")
+        bad = tmp_path / "S02.vbi"
+        if fault == "malformed":
+            bad.write_bytes(b"garbage")
+            reason = "not a VBI1 capture file"
+        else:
+            bad.mkdir()
+            reason = os.strerror(errno.EISDIR)
         assert main(
             ["scan", "--plan", str(plan_path), "--captures-dir", str(tmp_path),
              "--format", "csv"]
         ) == 0
         out, err = capsys.readouterr()
         assert "no-capture" in out
-        assert "skipping" in err
+        assert err == f"warning: skipping {bad}: {reason}\n"
 
     def test_truncated_capture_skipped_among_good_ones(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.csv"
@@ -610,9 +622,11 @@ class TestSpectrum:
         assert [float(r.split(",")[0]) for r in rows] == spectrum.frequencies_hz().tolist()
         assert [float(r.split(",")[1]) for r in rows] == spectrum.magnitudes_db.tolist()
 
-    def test_bad_indices_are_exit_one(self, clean_file):
-        assert main(["spectrum", "--in", str(clean_file), "--frame", "99"]) == 1
+    def test_bad_indices_are_exit_one(self, clean_file, tmp_path):
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--in", str(clean_file), "--frame", "99", "--out", str(out)]) == 1
         assert main(["spectrum", "--in", str(clean_file), "--line", "9"]) == 1
+        assert not out.exists()
 
 
 class TestPlanValidate:
@@ -657,6 +671,62 @@ class TestPlanValidate:
         assert out == ""
         fault = "'utf-8' codec can't decode byte 0xe3 in position 42: invalid continuation byte"
         assert err == f"error: {plan}: {fault}\n"
+
+
+@pytest.mark.parametrize("command", ["csv", "json", "table", "spectrum"])
+def test_stdout_and_out_get_the_same_bytes(tmp_path, capsys, command):
+    plan = tmp_path / "plan.csv"
+    plan.write_text(ONE_CHANNEL_PLAN.replace("TVR1", "TVRă"), encoding="utf-8")
+    make_captures(tmp_path, ["S02"])
+    if command == "spectrum":
+        args = ["spectrum", "--in", str(tmp_path / "S02.vbi")]
+    else:
+        args = ["scan", "--plan", str(plan), "--captures-dir", str(tmp_path),
+                "--format", command]
+    capsys.readouterr()
+    assert main(args) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "report.txt"
+    assert main([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    # Each scan stamps its own time.
+    stamp = re.compile(rb'"timestamp": "[^"]*"')
+    assert stamp.sub(b"", stdout) == stamp.sub(b"", out.read_bytes())
+    assert stdout.count(b"\n") > 1
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="the C locale is a POSIX locale")
+@pytest.mark.parametrize(
+    "fmt, to_file, status",
+    [("csv", True, 0), ("csv", False, 2), ("json", False, 0)],
+    ids=["csv-out", "csv-stdout", "json-stdout"],
+)
+def test_non_ascii_report_in_an_ascii_locale(tmp_path, fmt, to_file, status):
+    # The C locale without UTF-8 mode gives stdout the ASCII encoding. --out is
+    # UTF-8, as plans are read. JSON escapes the name, so it still reaches that
+    # stdout; the CSV cannot, and that is an I/O failure with one error line.
+    plan = tmp_path / "plan.csv"
+    plan.write_text(ONE_CHANNEL_PLAN.replace("TVR1", "TVRă"), encoding="utf-8")
+    out = tmp_path / "scan.csv"
+    args = ["scan", "--plan", str(plan), "--captures-dir", str(tmp_path), "--format", fmt]
+    if to_file:
+        args += ["--out", str(out)]
+    src = str(Path(vbisnr.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONIOENCODING", None)
+    done = subprocess.run([sys.executable, "-m", "vbisnr.cli", *args],
+                          capture_output=True, env=env)
+    assert done.returncode == status, done.stderr
+    if to_file:
+        assert "TVRă".encode("utf-8") in out.read_bytes()
+    if status == 2:
+        assert done.stdout == b""
+        (line,) = done.stderr.decode("ascii").splitlines()
+        assert line.startswith("error: stdout cannot encode the report")
+        assert line.endswith("use --out")
+    else:
+        assert b"Traceback" not in done.stderr
 
 
 def test_console_script_entry_exits_with_the_status(clean_file, monkeypatch, capsys):
