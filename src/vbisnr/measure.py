@@ -11,12 +11,13 @@ spectrum, and PSNR between pixel planes.
 A measurement's lines are a :class:`LineBlock`: the rows
 ``extract_vbi_lines`` gathers from a capture, or :class:`LineRecord`
 objects, one per line, that share one window length, stacked by
-:meth:`LineBlock.stack`. The block's windows are copied once into one int64
-array with one row per line. Raw statistics are its exact integer moments,
+:meth:`LineBlock.stack`. The block's windows are read in place, a fixed
+number of rows at a time. Raw statistics are their exact integer moments,
 so one division and one square root are the only roundings. Filtered
-statistics filter the array row by row and combine per-line sums of squared
-deviations with ``math.fsum``. Either way, pooling frames in any order
-yields bit-identical measurements.
+statistics filter the windows row by row and combine per-line sums of
+squared deviations with ``math.fsum``. Either way, pooling frames in any
+order, or reading them in blocks of any size, yields bit-identical
+measurements.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ FULL_SCALE_8BIT = 219.0
 DB_FLOOR = -200.0
 
 _LN10 = math.log(10.0)
+
+# ``accumulate`` and ``synthesize`` work on whole rows in blocks of about
+# this many samples (at least one row), so each of their float temporaries
+# is at most one block, 256 KiB in float64, whatever the input. Larger
+# blocks of 743-sample windows page-fault on every call once glibc returns
+# them to the system; smaller ones pay more per-call overhead.
+_BLOCK_SAMPLES = 1 << 15
 
 
 def _bit_depth(bit_depth) -> int:
@@ -360,16 +368,11 @@ class PsnrResult:
         object.__setattr__(self, "saturated", self.mse == 0.0)
 
 
-def _squared_deviation(values: np.ndarray, v_ref: float) -> np.ndarray:
-    """sum((x - v_ref)^2) over the last axis: per line of a block."""
-    return np.sum(np.square(values - v_ref), axis=-1)
-
-
 def noise_rms(line: LineRecord, v_ref: float) -> float:
     """Noise RMS over the window: sqrt(sum((x - v_ref)^2) / (N - 1))."""
     v_ref = _as_float(v_ref, "v_ref")
     values = line.window_samples()
-    return math.sqrt(float(_squared_deviation(values, v_ref)) / (values.size - 1))
+    return math.sqrt(float(np.sum(np.square(values - v_ref))) / (values.size - 1))
 
 
 def snr_db(v_n: float, bit_depth: int = 8) -> float:
@@ -407,11 +410,12 @@ def accumulate(
 
     ``lines`` is a :class:`LineBlock`, as :func:`extract_vbi_lines` returns,
     or any iterable of :class:`LineRecord`, which :meth:`LineBlock.stack`
-    makes one. All samples form one population, copied once into one int64
-    array: the reference level is their unfiltered mean, and the noise RMS
-    and its error margin run over all of them. At most ``config.max_frames``
-    distinct frames; any line order, and either form of the same lines,
-    gives the same bits.
+    makes one. All samples form one population: the reference level is
+    their unfiltered mean, and the noise RMS and its error margin run over
+    all of them. At most ``config.max_frames`` distinct frames; any line
+    order, and either form of the same lines, gives the same bits. The
+    windows are read in place, in blocks of rows, so the working memory
+    does not grow with the number of lines.
     """
     if config is None:
         config = MeasureConfig()
@@ -424,33 +428,43 @@ def accumulate(
         raise InvalidInputError(
             f"{frames_used} frames exceed the {config.max_frames}-frame limit"
         )
-    block = lines.samples[:, slice(*lines.window)].astype(np.int64, copy=False)
-
-    n = block.size
-    total = int(block.sum())
+    codes = lines.samples[:, slice(*lines.window)]
+    n = codes.size
+    step = max(1, _BLOCK_SAMPLES // codes.shape[1])
+    blocks = [codes[first : first + step] for first in range(0, len(codes), step)]
+    total = sum(int(block.sum(dtype=np.int64)) for block in blocks)
     v_ref = total / n
 
     if config.filter is not None:
         taps = dsp.design_lowpass(config.filter, lines.sample_rate_hz)
+        n = 0
+        sums = []
         try:
-            y = dsp.apply_filter(block, taps)
+            for block in blocks:
+                y = dsp.apply_filter(block, taps)
+                n += y.size
+                y -= v_ref
+                np.square(y, out=y)
+                sums += y.sum(axis=-1).tolist()
+                del y  # before the next block is filtered
         except InvalidInputError as exc:
             raise MeasurementImpossibleError(
                 f"measurement window too short for the {len(taps)}-tap filter: {exc}"
             ) from exc
-        n = y.size
         # Each line's sum depends only on that line, and fsum over them gives
         # the same bits in any line order. Codes with no variation carry no
         # noise, whatever round-off the FFT leaves in ``y``.
-        varies = block.min() < block.max()
-        ss = math.fsum(_squared_deviation(y, v_ref).tolist()) if varies else 0.0
+        ss = math.fsum(sums) if codes.min() < codes.max() else 0.0
         # Filtering narrows the noise bandwidth; dividing by the filter's white
         # noise gain refers the in-band RMS back to an equivalent full-band
         # level, keeping filtered and unfiltered readings comparable.
         v_n = math.sqrt(ss / (n - 1)) / dsp.noise_gain(taps)
     else:
         # n*sum(x^2) - sum(x)^2 is exact in Python ints.
-        squares = int(np.vdot(block, block))
+        squares = 0
+        for block in blocks:
+            block = block.astype(np.int64, copy=False)
+            squares += int(np.vdot(block, block))
         v_n = math.sqrt((n * squares - total * total) / (n * (n - 1)))
     return Measurement(
         v_ref=v_ref,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .capture import CaptureFile, CaptureHeader
 from .errors import InvalidInputError, _as_float, _as_int
-from .measure import default_window
+from .measure import _BLOCK_SAMPLES, default_window
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,17 @@ class SynthConfig:
         object.__setattr__(self, "interferers", tuple(admitted))
 
 
-# Frames are drawn and quantized in blocks of at least this many samples,
-# which bounds the float temporaries without splitting a small capture.
-_BLOCK_SAMPLES = 1 << 20
-
-
 def _quantize(x: np.ndarray, max_code: int, out: np.ndarray) -> int:
     # Round half away from zero, then clip into ``out``; return how many
-    # samples clipped.
-    q = np.abs(x)
-    q += 0.5
-    np.floor(q, out=q)
-    np.copysign(q, x, out=q)
-    clipped = int(np.count_nonzero((q < 0) | (q > max_code)))
-    np.clip(q, 0, max_code, out=q)
-    out[...] = q
+    # samples clipped. ``x`` is overwritten.
+    negative = np.signbit(x)
+    np.abs(x, out=x)
+    x += 0.5
+    np.floor(x, out=x)
+    np.negative(x, out=x, where=negative)
+    clipped = int(np.count_nonzero((x < 0) | (x > max_code)))
+    np.clip(x, 0, max_code, out=x)
+    out[...] = x
     return clipped
 
 
@@ -126,18 +122,23 @@ def synthesize(config: SynthConfig) -> CaptureFile:
     samples = np.empty(
         (header.frames, header.lines_per_frame, spl), dtype=header.sample_dtype
     )
+    rows = samples.reshape(-1, spl)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    block_frames = -(-_BLOCK_SAMPLES // (header.lines_per_frame * spl))
+    block_rows = max(1, _BLOCK_SAMPLES // spl)
+    buf = np.empty((min(block_rows, len(rows)), spl))
     clip_count = 0
     # The generator fills its output in order, so drawing one block of
-    # frames after another yields the values of a single whole-capture draw.
-    for first in range(0, header.frames, block_frames):
-        out = samples[first : first + block_frames]
+    # lines after another yields the values of a single whole-capture draw,
+    # and sigma * z + base those of ``rng.normal(0.0, sigma) + base``.
+    for first in range(0, len(rows), block_rows):
+        out = rows[first : first + block_rows]
+        block = buf[: len(out)]
         if config.noise_sigma > 0:
-            block = rng.normal(0.0, config.noise_sigma, size=out.shape)
+            rng.standard_normal(out=block)
+            block *= config.noise_sigma
             block += base
         else:
-            block = np.broadcast_to(base, out.shape)
+            block[...] = base
         clip_count += _quantize(block, max_code, out)
     samples.flags.writeable = False
     total = samples.size

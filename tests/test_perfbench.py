@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import vbisnr.measure
 import vbisnr.synth
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -46,7 +47,11 @@ def test_traced_monitor_steps_give_the_untraced_results(harness):
     assert counts["capture.window_samples"] == len(ops) * rows * workloads.WINDOW
     assert counts["measure.samples_pooled"] == len(ops) * 2 * rows * workloads.WINDOW
     assert counts["measure.accumulate_calls"] == len(ops) * 4
-    assert counts["dsp.apply_filter_calls"] == len(ops) * 2
+    # A filtered call filters its windows in blocks of _BLOCK_SAMPLES // 743
+    # = 44 rows: the 60 rows of the 30-frame window in two, the newest
+    # frame's 2 rows in one.
+    assert vbisnr.measure._BLOCK_SAMPLES // workloads.WINDOW == 44
+    assert counts["dsp.apply_filter_calls"] == len(ops) * 3
     assert tracer.taps == {workloads.TAPS}
     names = {span[0] for span in tracer.spans}
     assert {"capture.extract_vbi_lines", "measure.accumulate_raw",
