@@ -5,8 +5,10 @@ A capture is a self-describing binary file: the magic bytes ``VBI1``, a
 then the raw sample payload, line-major within frame-major order. Samples
 occupy one byte up to 8-bit depth and two little-endian, LSB-aligned bytes
 above that. Write then read is bit-identical on every valid file.
-:func:`extract_vbi_lines` gathers the VBI lines of the selected frames into
-one :class:`~vbisnr.measure.LineBlock` for measurement.
+:func:`extract_vbi_lines` returns the VBI lines of the selected frames as
+one :class:`~vbisnr.measure.LineBlock` for measurement: a view of the frames
+when every line is a VBI line, and a gathered copy of the listed rows
+otherwise.
 """
 
 from __future__ import annotations
@@ -237,13 +239,18 @@ def _parse_header(path, text: str) -> CaptureHeader:
 
 
 def extract_vbi_lines(capture: CaptureFile, frame_range=None) -> LineBlock:
-    """The VBI lines of the selected frames, gathered as one :class:`LineBlock`.
+    """The VBI lines of the selected frames as one :class:`LineBlock`.
 
     ``frame_range`` may be ``None`` (all frames), a half-open
     ``(start, stop)`` tuple, which must lie within the capture, or an
     integer n (the first n frames, capped at what the capture holds). Rows
     are frame-major: each frame's VBI lines in header order. The block gets
     the default measurement window for the line length.
+
+    When the header lists every line of the frame, in order, as a VBI line,
+    the block's samples are a view of the capture's frames, not a copy, and
+    a block that views a mapped capture is valid only as long as that
+    capture is. Any other selection gathers its rows into a new array.
     """
     header = capture.header
     if frame_range is None:
@@ -266,9 +273,15 @@ def extract_vbi_lines(capture: CaptureFile, frame_range=None) -> LineBlock:
             "(no teletext or test inserts) and list them in vbi_line_indices"
         )
 
-    # Indexing copies just the measured rows. (np.take would first copy the
-    # whole frame range of a 10-bit map, whose payload need not be aligned.)
-    rows = capture.samples[start:stop, list(vbi)].reshape(-1, header.samples_per_line)
+    if vbi == tuple(range(header.lines_per_frame)):
+        # Every line is a VBI line: the frame range is already the block.
+        rows = capture.samples[start:stop]
+    else:
+        # Indexing copies just the measured rows. (np.take would first copy
+        # the whole frame range of a 10-bit map, whose payload need not be
+        # aligned.)
+        rows = capture.samples[start:stop, list(vbi)]
+    rows = rows.reshape(-1, header.samples_per_line)
     rows.flags.writeable = False
     return LineBlock(
         samples=rows,

@@ -123,18 +123,22 @@ def apply_filter(samples, taps) -> np.ndarray:
     """Filter ``samples`` along the last axis, keeping the fully-supported region.
 
     ``samples`` is one line (1-D) or a block of equally long lines (2-D,
-    one per row). The output is the valid convolution: (len(taps) - 1) / 2
-    samples are trimmed from each end, which removes the symmetric group
-    delay and avoids injecting padded values. Output rows are
-    ``n - len(taps) + 1`` long for ``n``-sample input rows.
+    one per row), in any real dtype; it is not modified. The output is the
+    valid convolution: (len(taps) - 1) / 2 samples are trimmed from each
+    end, which removes the symmetric group delay and avoids injecting
+    padded values. Output rows are ``n - len(taps) + 1`` long for
+    ``n``-sample input rows.
 
     The convolution runs by FFT, ``irfft(rfft(x) * rfft(taps))`` at the
     smallest 2^a * 3^b * 5^c length not below ``n``. That length is at least
-    ``n``, so the circular wrap only reaches the trimmed outputs. Each row
-    is transformed on its own: a row gives the same bits alone as in any
-    block and at any position.
+    ``n``, so the circular wrap only reaches the trimmed outputs. The
+    samples are cast once into a zero-padded float64 buffer of that length,
+    and the inverse transform writes back into it: the result is a view of
+    that buffer, and the call holds it and one spectrum. Each row is
+    transformed on its own: a row gives the same bits alone as in any block
+    and at any position.
     """
-    x = np.asarray(samples, dtype=np.float64)
+    x = np.asarray(samples)
     t = np.asarray(taps, dtype=np.float64)
     if x.ndim not in (1, 2) or t.ndim != 1 or t.size == 0:
         raise InvalidInputError(
@@ -146,6 +150,10 @@ def apply_filter(samples, taps) -> np.ndarray:
             f"input of {n} samples is not longer than the {t.size}-tap filter"
         )
     size = _fft_size(n)
-    spectrum = np.fft.rfft(x, size)
+    buffer = np.empty(x.shape[:-1] + (size,))
+    buffer[..., :n] = x
+    buffer[..., n:] = 0.0
+    spectrum = np.fft.rfft(buffer)
     spectrum *= _taps_spectrum(t.tobytes(), size)
-    return np.fft.irfft(spectrum, size)[..., t.size - 1 : n]
+    np.fft.irfft(spectrum, size, out=buffer)
+    return buffer[..., t.size - 1 : n]

@@ -16,15 +16,19 @@ from vbisnr import (
     CaptureFile,
     CaptureFormatError,
     CaptureHeader,
+    FilterSpec,
     InvalidInputError,
     LineBlock,
+    MeasureConfig,
     MeasurementImpossibleError,
     SynthConfig,
+    accumulate,
     extract_vbi_lines,
     read_capture,
     synthesize,
     write_capture,
 )
+from vbisnr.capture import _serialize_header
 
 
 def small_capture(bit_depth=8, frames=2, value=60):
@@ -38,6 +42,13 @@ def small_capture(bit_depth=8, frames=2, value=60):
     )
     samples = np.full((frames, 3, 64), value, dtype=np.int32)
     return CaptureFile(header=header, samples=samples)
+
+
+def assert_measures_as_its_records(block):
+    stacked = LineBlock.stack(block)
+    for spec in (None, FilterSpec()):
+        config = MeasureConfig(filter=spec)
+        assert accumulate(block, config) == accumulate(stacked, config)
 
 
 class TestRoundTrip:
@@ -323,6 +334,37 @@ class TestExtract:
             tracemalloc.stop()
         assert block.samples.shape == (2000, 64) and np.all(block.samples == 600)
         assert peak < header.payload_bytes // 4
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    @pytest.mark.parametrize("vbi", [None, (6, 318)])
+    def test_whole_frames_are_viewed_and_measure_as_records(self, bit_depth, vbi):
+        # A synthesized capture lists every line of its frames as a VBI line.
+        cap = synthesize(SynthConfig(noise_sigma=2.19 * 2 ** (bit_depth - 8), seed=5,
+                                     bit_depth=bit_depth, frames=3, lines_per_frame=625))
+        if vbi is not None:
+            cap = CaptureFile(replace(cap.header, vbi_line_indices=vbi), cap.samples)
+        block = extract_vbi_lines(cap, frame_range=(1, 3))
+        lines = cap.header.vbi_line_indices
+        assert np.shares_memory(block.samples, cap.samples) == (vbi is None)
+        assert not block.samples.flags.writeable
+        assert block.frame_indices == tuple(f for f in (1, 2) for _ in lines)
+        assert block.line_indices == lines * 2
+        assert np.array_equal(block.samples, cap.samples[1:3, list(lines)].reshape(-1, 864))
+        assert_measures_as_its_records(block)
+
+    def test_unaligned_mapped_frames_are_viewed(self, tmp_path):
+        cap = synthesize(SynthConfig(noise_sigma=8.76, black_level=240, seed=3,
+                                     bit_depth=10, frames=2, lines_per_frame=625))
+        header = cap.header
+        if len(_serialize_header(header)) % 2 == 0:
+            header = replace(header, channel_label="x")
+        write_capture(CaptureFile(header, cap.samples), tmp_path / "c.vbi")
+        mapped = read_capture(tmp_path / "c.vbi")
+        assert not mapped.samples.flags.aligned  # the payload starts at an odd offset
+        block = extract_vbi_lines(mapped)
+        assert np.shares_memory(block.samples, mapped.samples)
+        assert np.array_equal(block.samples, cap.samples.reshape(-1, 864))
+        assert_measures_as_its_records(block)
 
     def test_no_vbi_lines_is_actionable(self):
         header = CaptureHeader(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -214,6 +215,46 @@ class TestApplyFilter:
             assert np.array_equal(out[i], apply_filter(block[i], taps)), i
         order = rng.permutation(rows)
         assert np.array_equal(apply_filter(block[order], taps), out[order])
+
+    @pytest.mark.parametrize("n", [743, 750])
+    @pytest.mark.parametrize("shape", [(), (44,)])
+    @pytest.mark.parametrize("dtype", [np.uint8, "<u2", np.int64, np.float64])
+    def test_one_padded_buffer_gives_the_bits_of_a_sized_transform(self, n, shape, dtype):
+        # The input is cast into a zero-padded buffer that the inverse
+        # transform overwrites; numpy's own padding in rfft(x, size), with a
+        # fresh output, gives the same bits.
+        taps = design_lowpass(FilterSpec(), FS)
+        size = _fft_size(n)
+        assert (size == n) == (n == 750)
+        rng = np.random.Generator(np.random.PCG64(n))
+        x = rng.integers(0, 256, shape + (n,)).astype(dtype)
+        kept = x.copy()
+        out = apply_filter(x, taps)
+        expected = np.fft.irfft(
+            np.fft.rfft(np.asarray(x, np.float64), size) * np.fft.rfft(taps, size), size
+        )[..., len(taps) - 1 : n]
+        assert np.array_equal(out, expected)
+        assert np.array_equal(x, kept)
+        assert out.base.shape == shape + (size,) and out.base.dtype == np.float64
+
+    def test_block_holds_one_buffer_and_one_spectrum(self):
+        # A 44-row block of 743-sample windows: the padded float64 buffer and
+        # its spectrum are 529 KB. A separate float64 copy of the input, and
+        # a fresh output beside the spectrum, would take the peak near 800 KB.
+        taps = design_lowpass(FilterSpec(), FS)
+        block = np.random.Generator(np.random.PCG64(44)).integers(0, 1024, (44, 743))
+        block = block.astype("<u2")
+        size = _fft_size(743)
+        held = 44 * size * 8 + 44 * (size // 2 + 1) * 16
+        apply_filter(block, taps)  # the taps' spectrum is cached
+        tracemalloc.start()
+        try:
+            out = apply_filter(block, taps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.base.nbytes == 44 * size * 8
+        assert peak < 1.4 * held
 
     def test_fft_size_matches_scipy(self):
         next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
