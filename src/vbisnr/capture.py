@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CaptureFormatError, InvalidInputError, MeasurementImpossibleError, _as_int
-from .measure import LineBlock, _admit_codes, _line_format
+from .measure import LineBlock, _admit_codes, _built, _line_format, default_window
 
 MAGIC = b"VBI1"
 FORMAT_VERSION = 1
@@ -121,7 +121,7 @@ class CaptureHeader:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CaptureFile:
     """Parsed capture: header plus samples shaped (frames, lines, samples).
 
@@ -142,7 +142,7 @@ class CaptureFile:
             raise InvalidInputError(
                 f"payload shape {arr.shape} does not match header {expected}"
             )
-        self.samples = _admit_codes(arr, h.bit_depth, h.sample_dtype)
+        object.__setattr__(self, "samples", _admit_codes(arr, h.bit_depth, h.sample_dtype))
 
 
 def _serialize_header(header: CaptureHeader) -> bytes:
@@ -283,10 +283,7 @@ def extract_vbi_lines(capture: CaptureFile, frame_range=None) -> LineBlock:
         rows = capture.samples[start:stop, list(vbi)]
     rows = rows.reshape(-1, header.samples_per_line)
     rows.flags.writeable = False
-    return LineBlock(
-        samples=rows,
-        frame_indices=tuple(f for f in range(start, stop) for _ in vbi),
-        line_indices=vbi * (stop - start),
-        bit_depth=header.bit_depth,
-        sample_rate_hz=header.sample_rate_hz,
-    )
+    return _built(LineBlock, samples=rows, window=default_window(header.samples_per_line),
+                  frame_indices=tuple(f for f in range(start, stop) for _ in vbi),
+                  line_indices=vbi * (stop - start),
+                  bit_depth=header.bit_depth, sample_rate_hz=header.sample_rate_hz)

@@ -98,6 +98,11 @@ def noise_gain(taps: np.ndarray) -> float:
 
 
 @functools.lru_cache
+def _noise_gain(taps: bytes) -> float:
+    return noise_gain(np.frombuffer(taps))
+
+
+@functools.lru_cache
 def _fft_size(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c not less than ``n``: a fast real FFT length."""
     while True:

@@ -17,7 +17,8 @@ so one division and one square root are the only roundings. Filtered
 statistics filter the windows row by row and combine per-line sums of
 squared deviations with ``math.fsum``. Either way, pooling frames in any
 order, or reading them in blocks of any size, yields bit-identical
-measurements.
+measurements. A record is admitted once: its constructor checks outside
+input, and what the package builds from admitted values is not checked again.
 """
 
 from __future__ import annotations
@@ -96,6 +97,13 @@ def _admit_codes(samples: np.ndarray, bit_depth: int, dtype: np.dtype) -> np.nda
     return samples
 
 
+def _built(cls, **fields):
+    # A record of values the package made from admitted ones, set unchecked.
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def _line_format(bit_depth, sample_rate_hz) -> tuple[int, float]:
     # The ADC format of a line, a block or a capture: 8..10-bit codes at a
     # positive rate.
@@ -163,10 +171,10 @@ class LineBlock(Sequence):
     ``samples`` is a read-only ``(rows, samples_per_line)`` array of ADC
     codes; row ``i`` is line ``line_indices[i]`` of frame
     ``frame_indices[i]``. ``window`` applies to every row and defaults to
-    :func:`default_window` of the line length. The block is checked once,
-    here, by the rules of :class:`LineRecord`, and it reads as a sequence
-    of :class:`LineRecord`: one is built from a row view when asked for,
-    and a slice is a block. :meth:`stack` builds a block from records.
+    :func:`default_window` of the line length. The constructor checks its
+    input by the rules of :class:`LineRecord`; the blocks the package builds
+    are not checked again. A block reads as a sequence of :class:`LineRecord`:
+    one is built from a row view when asked for, and a slice is a block.
     """
 
     samples: np.ndarray
@@ -213,10 +221,10 @@ class LineBlock(Sequence):
         samples = np.array([line.window_samples() for line in records], dtype=np.int64)
         samples.flags.writeable = False
         first = records[0]
-        return cls(samples, frame_indices=tuple(line.frame_index for line in records),
-                   line_indices=tuple(line.line_index for line in records),
-                   bit_depth=first.bit_depth, sample_rate_hz=first.sample_rate_hz,
-                   window=(0, samples.shape[1]))
+        return _built(cls, samples=samples, window=(0, samples.shape[1]),
+                      frame_indices=tuple(line.frame_index for line in records),
+                      line_indices=tuple(line.line_index for line in records),
+                      bit_depth=first.bit_depth, sample_rate_hz=first.sample_rate_hz)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -325,7 +333,7 @@ def line_spectrum(line: LineRecord, fft_size: int | None = None) -> Spectrum:
 
 @dataclass(frozen=True)
 class Measurement:
-    """One SNR measurement result, checked when it is built.
+    """One SNR measurement result, checked when it is built from outside input.
 
     ``v_ref`` and ``v_n`` are in ADC code units. The noise RMS divides by
     N - 1, so ``n_samples`` is at least 2, and ``frames_used`` at least 1.
@@ -458,11 +466,12 @@ def accumulate(
         # Each line's sum depends only on that line, and fsum over them gives
         # the same bits in any line order. Codes with no variation carry no
         # noise, whatever round-off the FFT leaves in ``y``.
-        ss = math.fsum(sums) if codes.min() < codes.max() else 0.0
+        # A total that is not a multiple of the count already shows variation.
+        ss = math.fsum(sums) if total % codes.size or codes.min() < codes.max() else 0.0
         # Filtering narrows the noise bandwidth; dividing by the filter's white
         # noise gain refers the in-band RMS back to an equivalent full-band
         # level, keeping filtered and unfiltered readings comparable.
-        v_n = math.sqrt(ss / (n - 1)) / dsp.noise_gain(taps)
+        v_n = math.sqrt(ss / (n - 1)) / dsp._noise_gain(taps.tobytes())
     else:
         # n*sum(x^2) - sum(x)^2 is exact in Python ints.
         squares = 0
@@ -470,14 +479,10 @@ def accumulate(
             block = block.astype(np.int64, copy=False)
             squares += int(np.vdot(block, block))
         v_n = math.sqrt((n * squares - total * total) / (n * (n - 1)))
-    return Measurement(
-        v_ref=v_ref,
-        v_n=v_n,
-        snr_db=snr_db(v_n, lines.bit_depth),
-        n_samples=n,
-        filtered=config.filter is not None,
-        frames_used=frames_used,
-    )
+    return _built(Measurement, v_ref=v_ref, v_n=v_n, snr_db=snr_db(v_n, lines.bit_depth),
+                  error_margin=error_margin(v_n, n), n_samples=n,
+                  filtered=config.filter is not None, frames_used=frames_used,
+                  saturated=v_n == 0.0)
 
 
 def _pixel_bits(bits) -> int:
