@@ -31,7 +31,8 @@ from .errors import (
     _as_int,
 )
 from .measure import (
-    LineRecord, MeasureConfig, _admit_codes, _pixel_bits, accumulate, line_spectrum, psnr
+    LineRecord, MeasureConfig, _admit_codes, _pixel_bits, _row_blocks, accumulate,
+    line_spectrum, psnr
 )
 from .scan import parse_plan, render_report, scan
 from .synth import SynthConfig, synthesize
@@ -174,7 +175,7 @@ def _cmd_measure(args) -> str:
     result = accumulate(lines, config)
     # Codes at a rail stand for any level beyond it, so the spread reads low.
     window, top = lines.samples[:, slice(*lines.window)], (1 << lines.bit_depth) - 1
-    clipped = int(np.count_nonzero((window == 0) | (window == top)))
+    clipped = sum(int(np.count_nonzero((b == 0) | (b == top))) for b in _row_blocks(window))
     if clipped:
         print(f"warning: {clipped} of {window.size} window samples sit at code 0 or {top}, "
               "where the ADC clips; v_n reads low", file=sys.stderr)

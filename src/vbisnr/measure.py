@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,12 @@ _LN10 = math.log(10.0)
 # minor page faults per step that measures a 30-frame window and its newest
 # frame, raw and filtered (numpy 2.4, glibc defaults).
 _BLOCK_SAMPLES = 1 << 15
+
+
+def _row_blocks(rows: np.ndarray) -> list[np.ndarray]:
+    # ``rows`` as views of whole rows, about ``_BLOCK_SAMPLES`` samples each.
+    step = max(1, _BLOCK_SAMPLES // rows.shape[1])
+    return [rows[first : first + step] for first in range(0, len(rows), step)]
 
 
 def _bit_depth(bit_depth) -> int:
@@ -174,7 +180,8 @@ class LineBlock(Sequence):
     :func:`default_window` of the line length. The constructor checks its
     input by the rules of :class:`LineRecord`; the blocks the package builds
     are not checked again. A block reads as a sequence of :class:`LineRecord`:
-    one is built from a row view when asked for, and a slice is a block.
+    one is built from a row view when asked for, and a slice is a block, both
+    from the block's admitted values without checks: only the index is checked.
     """
 
     samples: np.ndarray
@@ -231,21 +238,13 @@ class LineBlock(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return replace(
-                self,
-                samples=self.samples[index],
-                frame_indices=self.frame_indices[index],
-                line_indices=self.line_indices[index],
-            )
+            return _built(type(self), **{**vars(self), "samples": self.samples[index],
+                                         "frame_indices": self.frame_indices[index],
+                                         "line_indices": self.line_indices[index]})
         index = _as_int(index, "index")
-        return LineRecord(
-            samples=self.samples[index],
-            bit_depth=self.bit_depth,
-            sample_rate_hz=self.sample_rate_hz,
-            line_index=self.line_indices[index],
-            frame_index=self.frame_indices[index],
-            window=self.window,
-        )
+        return _built(LineRecord, samples=self.samples[index], bit_depth=self.bit_depth,
+                      sample_rate_hz=self.sample_rate_hz, line_index=self.line_indices[index],
+                      frame_index=self.frame_indices[index], window=self.window)
 
 
 @dataclass(frozen=True)
@@ -442,8 +441,7 @@ def accumulate(
         )
     codes = lines.samples[:, slice(*lines.window)]
     n = codes.size
-    step = max(1, _BLOCK_SAMPLES // codes.shape[1])
-    blocks = [codes[first : first + step] for first in range(0, len(codes), step)]
+    blocks = _row_blocks(codes)
     total = sum(int(block.sum(dtype=np.int64)) for block in blocks)
     v_ref = total / n
 

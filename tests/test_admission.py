@@ -1,11 +1,13 @@
 """Admission happens once: outside input is checked in a record's constructor,
 and what the package builds from admitted values is not checked again.
 
-``extract_vbi_lines``, ``LineBlock.stack`` and ``accumulate`` build their
-records without the constructor's checks. These tests hold those records to
-the ones the checked constructors build from the same values, pin the
-filtered constant-input shortcut, and count the admission calls on the
-monitor path, which must not grow with the number of lines.
+``extract_vbi_lines``, ``LineBlock.stack``, ``accumulate`` and a block's
+indexing and slicing build their records without the constructor's checks.
+These tests hold those records to the ones the checked constructors build
+from the same values, pin the filtered constant-input shortcut, and count
+the admission calls on the monitor path, which must not grow with the
+number of lines, and on a block's rows and slices, which check only the
+index.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import vbisnr.measure
 from vbisnr import (
     CaptureFile,
     FilterSpec,
+    InvalidInputError,
     LineBlock,
     LineRecord,
     MeasureConfig,
@@ -46,11 +49,13 @@ def capture_of(bit_depth: int, frames: int = 30, vbi=None) -> CaptureFile:
                        capture.samples)
 
 
-def assert_same_block(built: LineBlock, checked: LineBlock) -> None:
-    assert type(built) is LineBlock
-    for f in dataclasses.fields(LineBlock):
+def assert_same_block(built, checked) -> None:
+    # A block, or a record, equal in each field's value and type.
+    assert type(built) is type(checked) and type(checked) in (LineBlock, LineRecord)
+    for f in dataclasses.fields(checked):
         got, want = getattr(built, f.name), getattr(checked, f.name)
         if f.name == "samples":
+            assert type(got) is type(want)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
             assert not got.flags.writeable and not want.flags.writeable
@@ -155,3 +160,75 @@ def test_admission_calls_do_not_grow_with_the_lines(monkeypatch):
             records = [LineRecord(cap.samples[f, 0], frame_index=f) for f in range(30)]
             stacked = {n: count(lambda: accumulate(records[:n], config)) for n in (1, 30)}
             assert stacked[1] == stacked[30], stacked
+
+
+def sliced(block: LineBlock, index: slice) -> LineBlock:
+    return LineBlock(block.samples[index], frame_indices=block.frame_indices[index],
+                     line_indices=block.line_indices[index], bit_depth=block.bit_depth,
+                     sample_rate_hz=block.sample_rate_hz, window=block.window)
+
+
+def row(block: LineBlock, index: int) -> LineRecord:
+    return LineRecord(block.samples[index], bit_depth=block.bit_depth,
+                      sample_rate_hz=block.sample_rate_hz,
+                      line_index=block.line_indices[index],
+                      frame_index=block.frame_indices[index], window=block.window)
+
+
+SLICES = [slice(None), slice(1, 7), slice(-5, None), slice(None, None, 3),
+          slice(None, None, -1), slice(8, 2, -2), slice(4, 4), slice(100, None)]
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+@pytest.mark.parametrize("vbi", [None, (3, 0, 2)], ids=["whole-frame", "gathered"])
+@pytest.mark.parametrize("stack", [False, True], ids=["extracted", "stacked"])
+def test_rows_and_slices_equal_the_checked_builds(bit_depth, vbi, stack):
+    capture = capture_of(bit_depth, frames=5, vbi=vbi)
+    block = extract_vbi_lines(capture)
+    if stack:
+        block = LineBlock.stack(block)
+    n = len(block)
+    for index in (0, 5, n - 1, -1, -n, np.int64(2), np.intp(-3)):
+        record = block[index]
+        assert_same_block(record, row(block, index))
+        assert np.shares_memory(record.samples, block.samples)
+    assert [r.frame_index for r in block] == list(block.frame_indices)
+    for index in SLICES:
+        part = block[index]
+        assert_same_block(part, sliced(block, index))
+        assert part.frame_indices == block.frame_indices[index]
+        assert part.line_indices == block.line_indices[index]
+        if len(part):
+            assert np.shares_memory(part.samples, block.samples)
+            # A slice of a slice is a slice of the block.
+            assert_same_block(part[::-1], sliced(block, index)[::-1])
+    if vbi is None and not stack:  # a whole-frame view, and its rows and slices, view the capture
+        assert np.shares_memory(block[-1].samples, capture.samples)
+        assert np.shares_memory(block[2:9:3].samples, capture.samples)
+
+
+@pytest.mark.parametrize("vbi", [None, (3, 0, 2)], ids=["whole-frame", "gathered"])
+def test_rows_and_slices_check_only_the_index(monkeypatch, vbi):
+    calls = []
+
+    def counted(check):
+        def call(*args, **kwargs):
+            calls.append((check.__name__, args[1] if check is as_int else None))
+            return check(*args, **kwargs)
+        return call
+
+    as_int, admit_codes = vbisnr.measure._as_int, vbisnr.measure._admit_codes
+    monkeypatch.setattr(vbisnr.measure, "_as_int", counted(as_int))
+    monkeypatch.setattr(vbisnr.measure, "_admit_codes", counted(admit_codes))
+    block = extract_vbi_lines(capture_of(10, frames=30, vbi=vbi))
+    calls.clear()
+    records = list(block)
+    # The sequence protocol asks for one index past the end to stop.
+    assert len(records) == len(block) and calls == [("_as_int", "index")] * (len(block) + 1)
+    calls.clear()
+    for index in SLICES:
+        block[index]
+    assert calls == []
+    # A window set on a block is outside input, checked as the constructor does.
+    with pytest.raises(InvalidInputError, match=r"window \[0, 1\) is shorter than 2 samples"):
+        dataclasses.replace(block[1:], window=(0, 1))

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -191,13 +192,16 @@ class TestMeasure:
     def test_missing_input_is_io_failure(self, tmp_path):
         assert main(["measure", "--in", str(tmp_path / "nope.vbi")]) == 2
 
-    @pytest.mark.parametrize("rail,frames", [(0, 30), (0, 5), (255, 30)])
+    @pytest.mark.parametrize("rail,frames", [(0, 30), (0, 5), (255, 30), (1023, 30)])
     @pytest.mark.parametrize("mode", ["off", "on"])
     def test_clipped_capture_warns_on_stderr(self, tmp_path, capsys, mode, rail, frames):
         # Black lowered to code 3: the low tail of the noise sits at code 0,
-        # so v_n reads low. Mirrored, the high tail sits at code 255. The
-        # result is printed as before, with one warning.
-        clipped, truth = black_clip(synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=SEEDS[0])))
+        # so v_n reads low. Mirrored, the high tail sits at the top code, 255
+        # or, at 10 bits, 1023. The result is printed as before, with one warning.
+        bits = 10 if rail > 255 else 8
+        top = (1 << bits) - 1
+        clipped, truth = black_clip(synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=SEEDS[0],
+                                                           bit_depth=bits)))
         if rail:
             clipped = CaptureFile(clipped.header, rail - clipped.samples.astype(np.int64))
         path = tmp_path / "clipped.vbi"
@@ -207,15 +211,35 @@ class TestMeasure:
         captured = capsys.readouterr()
         start, end = default_window(clipped.header.samples_per_line)
         pooled = clipped.samples[:frames, list(clipped.header.vbi_line_indices), start:end]
-        rails = int(np.sum(pooled == 0) + np.sum(pooled == 255))
+        rails = int(np.sum(pooled == 0) + np.sum(pooled == top))
         assert rails >= (truth if frames == 30 else 1) > 0
         assert captured.err == (
-            f"warning: {rails} of {pooled.size} window samples sit at code 0 or 255, "
+            f"warning: {rails} of {pooled.size} window samples sit at code 0 or {top}, "
             "where the ADC clips; v_n reads low\n"
         )
         config = MeasureConfig(filter=FilterSpec() if mode == "on" else None)
         result = accumulate(extract_vbi_lines(clipped, frames), config)
         assert json.loads(captured.out) == dataclasses.asdict(result)
+
+    @pytest.mark.parametrize("black", [240.0, 3.0], ids=["unclipped", "clipped"])
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    def test_all_lines_measure_holds_a_few_row_blocks(self, tmp_path, capsys, mode, black):
+        # 10 frames of 625 10-bit lines, all VBI lines: 4.6M window samples,
+        # viewed in the mapped capture. accumulate and the rail count read
+        # them in row blocks; whole-window rail masks took 2 bytes a sample.
+        path = tmp_path / "all-lines.vbi"
+        write_capture(synthesize(SynthConfig(noise_sigma=8.76, black_level=black, bit_depth=10,
+                                             frames=10, lines_per_frame=625, seed=3)), path)
+        tracemalloc.start()
+        try:
+            assert main(["measure", "--in", str(path), "--filter", mode, "--json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        warned = "window samples sit at code 0 or 1023" in capsys.readouterr().err
+        assert warned == (black == 3.0)
+        row_block = vbisnr.measure._BLOCK_SAMPLES * np.dtype(np.float64).itemsize
+        assert peak < 8 * row_block
 
     @pytest.mark.parametrize("mode", ["off", "on"])
     @pytest.mark.parametrize(
