@@ -8,6 +8,7 @@ output goes to stdout (or --out); diagnostics go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -35,7 +36,6 @@ from .measure import (
     line_spectrum, psnr
 )
 from .scan import parse_plan, render_report, scan
-from .synth import SynthConfig, synthesize
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -80,8 +80,17 @@ def _write_report(text: str, out: str | None) -> None:
         return
     try:
         sys.stdout.write(text)
+        # Flushed here, so a closed pipe or a full disk is an I/O failure.
+        sys.stdout.flush()
     except UnicodeEncodeError as exc:
         raise OSError(f"stdout cannot encode the report ({exc}); use --out") from None
+    except OSError:
+        # What stays buffered would fail again in the interpreter's own flush
+        # at exit; send it to the null device, as the Python docs' SIGPIPE note does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,6 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> str:
+    # Imported here: no other command loads the generator.
+    from .synth import SynthConfig, synthesize
+
     settings = {k: v for k, v in vars(args).items() if k not in ("command", "path")}
     if "interferers" in settings:
         settings["interferers"] = [_parse_interferer(s) for s in settings["interferers"]]
@@ -352,7 +364,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    # The shutdown collections skip frozen objects, so the process does not
+    # walk and free the heap numpy and the package built; the OS reclaims it.
+    # atexit handlers and the standard streams' flush still run.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import gc
 import json
 import os
 import re
@@ -39,6 +40,15 @@ from impairments import BASE_SIGMA, SEEDS, black_clip
 
 
 ONE_CHANNEL_PLAN = "designation,name,video_carrier_mhz\nS02,TVR1,112.25\n"
+
+
+def child_env(**changes: str | None) -> dict[str, str]:
+    """This environment for a child on this checkout, with ``changes`` set;
+    a change to None removes that variable."""
+    src = str(Path(vbisnr.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, **changes}
+    return {key: value for key, value in env.items() if value is not None}
 
 
 def synth_args(out, **extra):
@@ -735,10 +745,7 @@ def test_non_ascii_report_in_an_ascii_locale(tmp_path, fmt, to_file, status):
     args = ["scan", "--plan", str(plan), "--captures-dir", str(tmp_path), "--format", fmt]
     if to_file:
         args += ["--out", str(out)]
-    src = str(Path(vbisnr.__file__).parents[1])
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("PYTHONIOENCODING", None)
+    env = child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONIOENCODING=None)
     done = subprocess.run([sys.executable, "-m", "vbisnr.cli", *args],
                           capture_output=True, env=env)
     assert done.returncode == status, done.stderr
@@ -754,15 +761,56 @@ def test_non_ascii_report_in_an_ascii_locale(tmp_path, fmt, to_file, status):
 
 
 def test_console_script_entry_exits_with_the_status(clean_file, monkeypatch, capsys):
-    # run() is what the installed ``vbisnr`` script calls: it reads sys.argv
-    # and exits with main()'s status.
+    # run() is what the installed ``vbisnr`` script calls: it reads sys.argv,
+    # freezes the heap so that the shutdown collections skip it, and exits
+    # with main()'s status. Unfrozen again, so the suite collects as before.
     for extra, status in (([], 0), (["--filter", "on", "--cutoff-hz", "nan"], 1)):
         argv = ["vbisnr", "measure", "--in", str(clean_file), *extra]
         monkeypatch.setattr(sys, "argv", argv)
-        with pytest.raises(SystemExit) as exit_info:
-            run()
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                run()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
         assert exit_info.value.code == status
     assert "cutoff_hz must be positive" in capsys.readouterr().err
+
+
+def test_run_keeps_the_interpreters_exit_path(clean_file, capsys):
+    # After run() the interpreter still runs atexit handlers and flushes
+    # stdout: with PYTHONUNBUFFERED unset, the handler's line reaches the
+    # pipe only through that flush. os._exit would lose both.
+    argv = ["measure", "--in", str(clean_file), "--json"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    code = ("import atexit, sys\n"
+            "from vbisnr.cli import run\n"
+            "atexit.register(print, 'atexit handler ran')\n"
+            f"sys.argv = ['vbisnr', *{argv!r}]\n"
+            "run()\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(PYTHONUNBUFFERED=None))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == report + "atexit handler ran\n"
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_is_an_io_failure(clean_file, unbuffered):
+    # The reader has gone before the report is written. Buffered, the write
+    # succeeds and only a flush can fail: main() flushes, so that is exit 2
+    # with one error line, and the interpreter's own flush at exit stays quiet.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    args = [sys.executable, "-m", "vbisnr.cli", "measure", "--in", str(clean_file)]
+    try:
+        done = subprocess.run(args, stdout=write_end, stderr=subprocess.PIPE,
+                              env=child_env(PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    broken_pipe = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+    assert done.stderr.decode().splitlines() == [f"error: {broken_pipe}"]
 
 
 def test_unknown_flag_is_exit_one(capsys):

@@ -140,6 +140,35 @@ def test_modules_import_only_earlier_layers(index, module):
     assert package_imports(module) <= set(LAYERS[:index])
 
 
+def test_commands_but_synth_load_no_generator(tmp_path):
+    # cli imports synth inside _cmd_synth alone, which the layering allows.
+    from vbisnr import SynthConfig, synthesize, write_capture
+
+    write_capture(synthesize(SynthConfig(seed=7)), tmp_path / "S02.vbi")
+    plan = tmp_path / "plan.csv"
+    plan.write_text("designation,name,video_carrier_mhz\nS02,TVR1,112.25\n")
+    plane = tmp_path / "plane.raw"
+    plane.write_bytes(bytes([200]) * 64)
+    capture = str(tmp_path / "S02.vbi")
+    commands = [
+        ["measure", "--in", capture],
+        ["measure", "--in", capture, "--filter", "on", "--json"],
+        ["scan", "--plan", str(plan), "--captures-dir", str(tmp_path)],
+        ["psnr", "--original", str(plane), "--decoded", str(plane),
+         "--width", "8", "--height", "8"],
+        ["spectrum", "--in", capture],
+        ["plan-validate", "--plan", str(plan)],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "import vbisnr.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [vbisnr.cli.main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'vbisnr.synth' in sys.modules)"
+    )
+    assert run_child(code) == f"{[0] * len(commands)} False"
+
+
 def test_filter_module_loads_no_measurement_code():
     code = (
         "import sys, vbisnr.dsp\n"
