@@ -9,8 +9,9 @@ carrier, multi-frame accumulation, PSNR between pixel planes, a capture
 file container, a seeded synthetic line generator for verification, and
 channel-plan scan reports.
 
-Importing the package loads no numpy: the first public name asked for
-imports the submodules and binds every public name (PEP 562).
+Importing the package loads no numpy: a public name, when first asked
+for, imports the submodule that defines it and binds that submodule's
+public names (PEP 562).
 """
 
 import importlib
@@ -36,14 +37,15 @@ _EXPORTS = {
     "synth": ("SynthConfig", "synthesize"),
 }
 
-__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+_OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_OWNERS)
 
 
 def __getattr__(name):
-    if name in __all__:
-        for module, names in _EXPORTS.items():
-            source = importlib.import_module(f"{__name__}.{module}")
-            globals().update((public, getattr(source, public)) for public in names)
+    if name in _OWNERS:
+        module = _OWNERS[name]
+        source = importlib.import_module(f"{__name__}.{module}")
+        globals().update((public, getattr(source, public)) for public in _EXPORTS[module])
         return globals()[name]
     if name in _EXPORTS:  # a submodule, bound as the eager import bound it
         return importlib.import_module(f"{__name__}.{name}")

@@ -2,7 +2,11 @@
 
 Subcommands: synth, measure, scan, psnr, spectrum, plan-validate. Machine
 output goes to stdout (or --out); diagnostics go to stderr. Exit codes:
-0 success, 1 invalid input, 2 I/O failure, 3 measurement impossible.
+0 success, 1 invalid input, 2 I/O failure, 3 measurement impossible. A
+stderr that fails loses its lines, never the report or the exit code.
+
+Each command imports only what it runs: the generator loads for synth
+alone, and the scan module for scan and plan-validate alone.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .measure import (
     LineRecord, MeasureConfig, _admit_codes, _pixel_bits, _row_blocks, accumulate,
     line_spectrum, psnr
 )
-from .scan import parse_plan, render_report, scan
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -73,6 +76,23 @@ def _read_text(path: str | Path) -> str:
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
+def _to_devnull(stream) -> None:
+    # What stays buffered would fail again in the interpreter's own flush
+    # at exit; send it to the null device, as the Python docs' SIGPIPE note does.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _diagnose(line: str) -> None:
+    # Every warning and error line leaves here, flushed, so a stderr that
+    # cannot take it costs the line and not the command's outcome.
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 def _write_report(text: str, out: str | None) -> None:
     # --out is UTF-8, as _read_text reads; stdout takes text, so a StringIO may stand in.
     if out is not None:
@@ -85,11 +105,7 @@ def _write_report(text: str, out: str | None) -> None:
     except UnicodeEncodeError as exc:
         raise OSError(f"stdout cannot encode the report ({exc}); use --out") from None
     except OSError:
-        # What stays buffered would fail again in the interpreter's own flush
-        # at exit; send it to the null device, as the Python docs' SIGPIPE note does.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         raise
 
 
@@ -168,8 +184,7 @@ def _cmd_synth(args) -> str:
         settings["interferers"] = [_parse_interferer(s) for s in settings["interferers"]]
     capture = synthesize(SynthConfig(**settings))
     write_capture(capture, args.path)
-    print(f"wrote {args.path}: clip_count={capture.header.extra['clip_count']}",
-          file=sys.stderr)
+    _diagnose(f"wrote {args.path}: clip_count={capture.header.extra['clip_count']}")
     return ""
 
 
@@ -189,8 +204,8 @@ def _cmd_measure(args) -> str:
     window, top = lines.samples[:, slice(*lines.window)], (1 << lines.bit_depth) - 1
     clipped = sum(int(np.count_nonzero((b == 0) | (b == top))) for b in _row_blocks(window))
     if clipped:
-        print(f"warning: {clipped} of {window.size} window samples sit at code 0 or {top}, "
-              "where the ADC clips; v_n reads low", file=sys.stderr)
+        _diagnose(f"warning: {clipped} of {window.size} window samples sit at code 0 "
+                  f"or {top}, where the ADC clips; v_n reads low")
     if args.json:
         return json.dumps(asdict(result), indent=2) + "\n"
     return (f"v_ref {result.v_ref:.4f}\n"
@@ -224,7 +239,7 @@ class _CaptureDirectory(Mapping):
         except (CaptureFormatError, OSError) as exc:
             # A CaptureFormatError's message starts with the path; an OSError's ends with it.
             reason = f"{path}: {exc.strerror}" if isinstance(exc, OSError) else exc
-            print(f"warning: skipping {reason}", file=sys.stderr)
+            _diagnose(f"warning: skipping {reason}")
             raise KeyError(designation) from exc
 
     def __iter__(self):
@@ -234,13 +249,27 @@ class _CaptureDirectory(Mapping):
         return 0
 
 
+# The scan module loads when scan or plan-validate first asks for its names
+# (PEP 562), and a stand-in bound here before then is kept. Those commands
+# look the names up on the module: a global name lookup never calls this.
+def __getattr__(name):
+    if name not in ("parse_plan", "render_report", "scan"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .scan import parse_plan, render_report, scan
+
+    for value in (parse_plan, render_report, scan):
+        globals().setdefault(value.__name__, value)
+    return globals()[name]
+
+
 def _cmd_scan(args) -> str:
-    plan = parse_plan(_read_text(args.plan))
+    cli = sys.modules[__name__]
+    plan = cli.parse_plan(_read_text(args.plan))
     directory = Path(args.captures_dir)
     if not directory.is_dir():
         raise FileNotFoundError(f"captures directory not found: {directory}")
-    report = scan(plan, _CaptureDirectory(directory), FilterSpec(cutoff_hz=args.filter_cutoff))
-    return render_report(report, args.format)
+    report = cli.scan(plan, _CaptureDirectory(directory), FilterSpec(cutoff_hz=args.filter_cutoff))
+    return cli.render_report(report, args.format)
 
 
 def _load_plane(path: str, bits: int, width: int | None, height: int | None) -> np.ndarray:
@@ -332,7 +361,7 @@ def _cmd_spectrum(args) -> str:
 
 
 def _cmd_plan_validate(args) -> str:
-    plan = parse_plan(_read_text(args.plan))
+    plan = sys.modules[__name__].parse_plan(_read_text(args.plan))
     return f"plan ok: {len(plan)} channels\n"
 
 
@@ -353,13 +382,13 @@ def main(argv=None) -> int:
         _write_report(_COMMANDS[args.command](args), getattr(args, "out", None))
         return EXIT_OK
     except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return EXIT_INVALID
     except (CaptureFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return EXIT_IO
     except MeasurementImpossibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return EXIT_NO_MEASUREMENT
 
 

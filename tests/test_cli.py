@@ -417,6 +417,31 @@ class TestScan:
              str(tmp_path / "nowhere")]
         ) == 2
 
+    def test_stand_ins_bound_on_the_cli_module_run(self, tmp_path, monkeypatch, capsys):
+        # perfbench/spans.py wraps scan and render_report where vbisnr.cli
+        # looks them up, so the command calls whatever is bound there.
+        plan_path = tmp_path / "plan.csv"
+        plan_path.write_text(ONE_CHANNEL_PLAN)
+        make_captures(tmp_path, ["S02"])
+        calls = []
+
+        def scan_stand_in(plan, source, *args):
+            calls.append(("scan", [entry.designation for entry in plan.entries]))
+            return vbisnr.scan(plan, source, *args)
+
+        def render_stand_in(report, fmt):
+            calls.append(("render_report", fmt))
+            return f"{len(report.rows)} rows\n"
+
+        monkeypatch.setattr("vbisnr.cli.scan", scan_stand_in)
+        monkeypatch.setattr("vbisnr.cli.render_report", render_stand_in)
+        assert main(
+            ["scan", "--plan", str(plan_path), "--captures-dir", str(tmp_path),
+             "--format", "csv"]
+        ) == 0
+        assert calls == [("scan", ["S02"]), ("render_report", "csv")]
+        assert capsys.readouterr().out == "1 rows\n"
+
     def test_json_output_round_trips(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.csv"
         plan_path.write_text(
@@ -811,6 +836,29 @@ def test_closed_stdout_pipe_is_an_io_failure(clean_file, unbuffered):
     assert done.returncode == 2, done.stderr
     broken_pipe = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
     assert done.stderr.decode().splitlines() == [f"error: {broken_pipe}"]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case,status", [("missing", 2), ("clipped", 0)])
+def test_closed_stderr_pipe_keeps_the_outcome(tmp_path, capsys, case, status, unbuffered):
+    # The reader of stderr has gone before the first warning or error line.
+    # That line is lost; the exit code and the report stay the command's own.
+    capture = tmp_path / f"{case}.vbi"
+    if case == "clipped":
+        assert main(synth_args(capture, black_level=3)) == 0
+    argv = ["measure", "--in", str(capture)]
+    assert main(argv) == status
+    report = capsys.readouterr().out
+    assert bool(report) == (status == 0)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "vbisnr.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=write_end, text=True,
+                              env=child_env(PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stdout) == (status, report)
 
 
 def test_unknown_flag_is_exit_one(capsys):

@@ -141,7 +141,8 @@ def test_modules_import_only_earlier_layers(index, module):
 
 
 def test_commands_but_synth_load_no_generator(tmp_path):
-    # cli imports synth inside _cmd_synth alone, which the layering allows.
+    # cli imports synth inside _cmd_synth alone, and scan inside the scan
+    # and plan-validate commands alone, which the layering allows.
     from vbisnr import SynthConfig, synthesize, write_capture
 
     write_capture(synthesize(SynthConfig(seed=7)), tmp_path / "S02.vbi")
@@ -153,20 +154,63 @@ def test_commands_but_synth_load_no_generator(tmp_path):
     commands = [
         ["measure", "--in", capture],
         ["measure", "--in", capture, "--filter", "on", "--json"],
-        ["scan", "--plan", str(plan), "--captures-dir", str(tmp_path)],
         ["psnr", "--original", str(plane), "--decoded", str(plane),
          "--width", "8", "--height", "8"],
         ["spectrum", "--in", capture],
+    ]
+    scans = [
+        ["scan", "--plan", str(plan), "--captures-dir", str(tmp_path)],
         ["plan-validate", "--plan", str(plan)],
     ]
+    # After each command: its exit code and whether the scan module, csv
+    # and the generator are loaded.
     code = (
         "import contextlib, io, sys\n"
         "import vbisnr.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [vbisnr.cli.main(argv) for argv in {commands!r}]\n"
-        "print(codes, 'vbisnr.synth' in sys.modules)"
+        f"for argv in {commands + scans!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        status = vbisnr.cli.main(argv)\n"
+        "    print(status, *(m in sys.modules for m in ('vbisnr.scan', 'csv', 'vbisnr.synth')))\n"
     )
-    assert run_child(code) == f"{[0] * len(commands)} False"
+    expected = ["0 False False False"] * len(commands) + ["0 True True False"] * len(scans)
+    assert run_child(code).splitlines() == expected
+
+
+def test_stand_in_bound_before_the_scan_module_loads_runs(tmp_path):
+    # render_report is bound on vbisnr.cli before anything loads the scan
+    # module, scan after; main() calls both stand-ins.
+    plan = tmp_path / "plan.csv"
+    plan.write_text("designation,name,video_carrier_mhz\nS02,TVR1,112.25\n")
+    argv = ["scan", "--plan", str(plan), "--captures-dir", str(tmp_path), "--format", "csv"]
+    code = (
+        "import sys, vbisnr.cli\n"
+        "calls = []\n"
+        "def render_report(report, fmt):\n"
+        "    calls.append(('render_report', fmt))\n"
+        "    return f'{len(report.rows)} rows\\n'\n"
+        "vbisnr.cli.render_report = render_report\n"
+        "print('vbisnr.scan' in sys.modules)\n"
+        "real_scan = vbisnr.cli.scan\n"
+        "def scan(plan, *args):\n"
+        "    calls.append(('scan', len(plan)))\n"
+        "    return real_scan(plan, *args)\n"
+        "vbisnr.cli.scan = scan\n"
+        f"print(vbisnr.cli.main({argv!r}), calls)\n"
+    )
+    assert run_child(code).splitlines() == [
+        "False", "1 rows", "0 [('scan', 1), ('render_report', 'csv')]"
+    ]
+
+
+def test_first_public_name_loads_only_its_submodule():
+    # The names of measure, and of what measure imports; no capture, scan
+    # or generator.
+    code = (
+        "import sys\n"
+        "from vbisnr import accumulate\n"
+        "print(sorted(m for m in sys.modules if m.startswith('vbisnr')))"
+    )
+    assert run_child(code) == "['vbisnr', 'vbisnr.dsp', 'vbisnr.errors', 'vbisnr.measure']"
 
 
 def test_filter_module_loads_no_measurement_code():
