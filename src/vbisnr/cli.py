@@ -273,7 +273,9 @@ def _cmd_scan(args) -> str:
 
 
 def _load_plane(path: str, bits: int, width: int | None, height: int | None) -> np.ndarray:
-    if width is None or height is None:
+    if (width is None) != (height is None):
+        raise InvalidInputError("--width and --height go together")
+    if width is None:
         sidecar = Path(path + ".hdr")
         if not sidecar.exists():
             raise InvalidInputError(

@@ -37,9 +37,7 @@ class FilterSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "cutoff_hz", _as_float(self.cutoff_hz, "cutoff_hz", 0, above=True))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilterSpec":
-        return _from_dict(cls, d)
+    from_dict = classmethod(_from_dict)
 
 
 @functools.lru_cache

@@ -360,9 +360,7 @@ class Measurement:
         object.__setattr__(self, "error_margin", error_margin(self.v_n, self.n_samples))
         object.__setattr__(self, "saturated", self.v_n == 0.0)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Measurement":
-        return _from_dict(cls, d)
+    from_dict = classmethod(_from_dict)
 
 
 @dataclass(frozen=True)

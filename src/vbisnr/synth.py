@@ -14,7 +14,7 @@ import numpy as np
 
 from .capture import CaptureFile, CaptureHeader
 from .errors import InvalidInputError, _as_float, _as_int
-from .measure import _BLOCK_SAMPLES, default_window
+from .measure import _row_blocks, default_window
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,13 @@ def synthesize(config: SynthConfig) -> CaptureFile:
     )
     rows = samples.reshape(-1, spl)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    block_rows = max(1, _BLOCK_SAMPLES // spl)
-    buf = np.empty((min(block_rows, len(rows)), spl))
+    blocks = _row_blocks(rows)
+    buf = np.empty(blocks[0].shape)
     clip_count = 0
     # The generator fills its output in order, so drawing one block of
     # lines after another yields the values of a single whole-capture draw,
     # and sigma * z + base those of ``rng.normal(0.0, sigma) + base``.
-    for first in range(0, len(rows), block_rows):
-        out = rows[first : first + block_rows]
+    for out in blocks:
         block = buf[: len(out)]
         if config.noise_sigma > 0:
             rng.standard_normal(out=block)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import vbisnr.measure
-import vbisnr.synth
 from vbisnr import (
     FilterSpec,
     MeasureConfig,
@@ -114,13 +113,14 @@ def test_quantize_edges_follow_the_scalar_rule(max_code):
     assert clipped == sum(r < 0 or r > max_code for r in rounded)
 
 
-# _BLOCK_SAMPLES as set for synthesize, which walks 864-sample lines, and
-# for accumulate, which reads their 743-sample default windows: less than
-# one row (so one row), seven rows, and more rows than any capture here.
+# _BLOCK_SAMPLES, the one block size of synthesize, which walks 864-sample
+# lines, and of accumulate, which reads their 743-sample default windows:
+# less than one row (so one row), seven windows (six whole lines), and more
+# rows than any capture here.
 BLOCK_SIZES = {
-    "under-one-row": (1, 1),
-    "seven-rows": (7 * 864, 7 * 743),
-    "all-rows": (10**9, 10**9),
+    "under-one-row": 1,
+    "seven-rows": 7 * 743,
+    "all-rows": 10**9,
 }
 
 
@@ -130,9 +130,8 @@ def _results(config: SynthConfig):
     return capture.samples.tobytes(), accumulate(lines), accumulate(lines, FILTERED)
 
 
-@pytest.mark.parametrize("synth_samples, measure_samples", BLOCK_SIZES.values(),
-                         ids=BLOCK_SIZES.keys())
-def test_no_bit_depends_on_the_block_size(monkeypatch, synth_samples, measure_samples):
+@pytest.mark.parametrize("block_samples", BLOCK_SIZES.values(), ids=BLOCK_SIZES.keys())
+def test_no_bit_depends_on_the_block_size(monkeypatch, block_samples):
     configs = [
         SynthConfig(black_level=60.0 * scale, noise_sigma=SIGMA * scale, seed=seed,
                     bit_depth=8 if scale == 1 else 10,
@@ -141,8 +140,7 @@ def test_no_bit_depends_on_the_block_size(monkeypatch, synth_samples, measure_sa
     ]
     configs.append(SynthConfig(noise_sigma=0.0))  # constant codes: v_n reads 0
     expected = [_results(config) for config in configs]
-    monkeypatch.setattr(vbisnr.synth, "_BLOCK_SAMPLES", synth_samples)
-    monkeypatch.setattr(vbisnr.measure, "_BLOCK_SAMPLES", measure_samples)
+    monkeypatch.setattr(vbisnr.measure, "_BLOCK_SAMPLES", block_samples)
     assert [_results(config) for config in configs] == expected
     assert expected[-1][1].v_n == expected[-1][2].v_n == 0.0
 

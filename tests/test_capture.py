@@ -207,6 +207,13 @@ class TestFormatErrors:
         with pytest.raises(CaptureFormatError, match="missing header field"):
             read_capture(path)
 
+    def test_header_line_without_equals(self, tmp_path):
+        path = tmp_path / "e.vbi"
+        header = "format_version=1\nbit_depth 8\n".encode()
+        path.write_bytes(b"VBI1" + struct.pack("<I", len(header)) + header)
+        with pytest.raises(CaptureFormatError, match="malformed header line 'bit_depth 8'"):
+            read_capture(path)
+
     @pytest.mark.parametrize("line", ["bit_depth=10", "note=b"])
     def test_duplicate_header_field(self, tmp_path, line):
         # A key given twice has no one value; the later one must not win.

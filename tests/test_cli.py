@@ -97,9 +97,13 @@ class TestSynth:
         assert main(synth_args(b) + flags) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_interferer_flag(self, tmp_path, capsys):
-        assert main(synth_args(tmp_path / "x.vbi") + ["--interferer", "oops"]) == 1
-        assert "interferer" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag,message", [
+        ("oops", "--interferer expects frequency,amplitude[,phase], got 'oops'"),
+        ("5.5e6,x", "bad --interferer value '5.5e6,x'"),
+    ], ids=["one-field", "not-a-number"])
+    def test_bad_interferer_flag(self, tmp_path, capsys, flag, message):
+        assert main(synth_args(tmp_path / "x.vbi") + ["--interferer", flag]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unwritable_output_is_io_failure(self, tmp_path):
         assert main(synth_args(tmp_path / "missing" / "x.vbi")) == 2
@@ -186,9 +190,14 @@ class TestMeasure:
         assert main(["measure", "--in", str(clean_file), "--filter", "on"]) == 2
         assert "bad header" in capsys.readouterr().err
 
-    def test_frame_limit_is_exit_one(self, clean_file, capsys):
-        assert main(["measure", "--in", str(clean_file), "--frames", "31"]) == 1
-        assert "30-frame limit" in capsys.readouterr().err
+    @pytest.mark.parametrize("frames,message", [
+        ("31", "--frames may not exceed the 30-frame limit"),
+        ("0", "--frames must be positive"),
+    ], ids=["31", "0"])
+    def test_frame_count_outside_one_to_thirty_is_exit_one(self, clean_file, capsys, frames,
+                                                            message):
+        assert main(["measure", "--in", str(clean_file), "--frames", frames]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_filter_flag_changes_result_under_interference(self, interferer_file, capsys):
         assert main(["measure", "--in", str(interferer_file), "--json"]) == 0
@@ -442,6 +451,41 @@ class TestScan:
         assert calls == [("scan", ["S02"]), ("render_report", "csv")]
         assert capsys.readouterr().out == "1 rows\n"
 
+    def test_uncaptured_channel_is_a_row_of_empty_fields(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.csv"
+        plan_path.write_text(ONE_CHANNEL_PLAN + "C06,ProTV,182.25\n")
+        make_captures(tmp_path, ["S02"])
+        out = tmp_path / "scan.csv"
+        assert main(
+            ["scan", "--plan", str(plan_path), "--captures-dir", str(tmp_path),
+             "--format", "csv", "--out", str(out)]
+        ) == 0
+        _, measured, uncaptured = out.read_text().splitlines()
+        assert measured.startswith("S02,TVR1,112.25,") and measured.endswith(",measured")
+        assert uncaptured == "C06,ProTV,182.25,,,,,,no-capture"
+
+    @pytest.mark.parametrize("flags,cutoff_hz", [
+        ([], "2000000.0"), (["--filter-cutoff", "1.5e6"], "1500000.0"),
+    ], ids=["default", "1.5MHz"])
+    def test_json_config_is_the_fixed_settings_then_the_filter(self, tmp_path, capsys,
+                                                                 flags, cutoff_hz):
+        # In that order and those types; the report reads back to the same bytes.
+        plan_path = tmp_path / "plan.csv"
+        plan_path.write_text(ONE_CHANNEL_PLAN)
+        make_captures(tmp_path, ["S02"])
+        capsys.readouterr()
+        assert main(
+            ["scan", "--plan", str(plan_path), "--captures-dir", str(tmp_path),
+             "--format", "json", *flags]
+        ) == 0
+        text = capsys.readouterr().out
+        assert json.dumps(json.loads(text)["config"]) == (
+            '{"full_scale": null, "max_frames": 30, "snr_cap_db": 100.0, '
+            f'"filter": {{"cutoff_hz": {cutoff_hz}, "transition_hz": 500000.0, '
+            '"stopband_atten_db": 60.0, "kind": "windowed-sinc-lowpass"}}'
+        )
+        assert vbisnr.render_report(vbisnr.report_from_json(text), "json") == text
+
     def test_json_output_round_trips(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.csv"
         plan_path.write_text(
@@ -561,7 +605,7 @@ class TestPsnr:
     def test_sidecar_header(self, tmp_path, capsys):
         a = tmp_path / "a.raw"
         write_plane(a, np.zeros((6, 5)))
-        (tmp_path / "a.raw.hdr").write_text("width=5\nheight=6\n")
+        (tmp_path / "a.raw.hdr").write_text("width=5\n\n  \nheight=6\n\n")
         assert main(["psnr", "--original", str(a), "--decoded", str(a)]) == 0
         assert "saturated true" in capsys.readouterr().out
 
@@ -570,7 +614,10 @@ class TestPsnr:
         [
             ("width=4\nheight=6\nwidth=5\n", "duplicate header field 'width'"),
             ("width=5\nheight=6\nplanar\n", "malformed header line 'planar'"),
+            ("width=five\nheight=6\n",
+             "bad sidecar header: invalid literal for int() with base 10: 'five'"),
         ],
+        ids=["duplicate", "malformed", "not-an-integer"],
     )
     def test_loose_sidecar_is_exit_one(self, tmp_path, capsys, text, fault):
         a = tmp_path / "a.raw"
@@ -580,6 +627,25 @@ class TestPsnr:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {tmp_path / 'a.raw.hdr'}: {fault}\n"
+
+    def test_plane_without_a_size_is_exit_one(self, tmp_path, capsys):
+        a = tmp_path / "a.raw"
+        write_plane(a, np.zeros((6, 5)))
+        assert main(["psnr", "--original", str(a), "--decoded", str(a)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {a}: supply --width/--height or a a.raw.hdr sidecar\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_lone_size_flag_is_exit_one(self, tmp_path, capsys, flag):
+        # Beside a sidecar too: neither size of the pair is taken from it.
+        a = tmp_path / "a.raw"
+        write_plane(a, np.zeros((4, 8)))
+        (tmp_path / "a.raw.hdr").write_text("width=8\nheight=4\n")
+        assert main(["psnr", "--original", str(a), "--decoded", str(a), flag, "16"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --width and --height go together\n"
 
     def test_sidecar_that_is_not_utf8_is_exit_one(self, tmp_path, capsys):
         a = tmp_path / "a.raw"
@@ -653,7 +719,10 @@ class TestSpectrum:
         path = tmp_path / "flat.vbi"
         assert main(["synth", "--sigma", "0", "--frames", "1", "--out", str(path)]) == 0
         assert main(["spectrum", "--in", str(path)]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
+        header, *rows = capsys.readouterr().out.splitlines()
+        # The 864-sample line's default transform is 1024 points: 513 bins.
+        assert header == "frequency_hz,magnitude_db"
+        assert len(rows) == 513
         values = [float(r.split(",")[1]) for r in rows]
         assert values[0] == max(values)
         assert values[0] - max(values[1:]) >= 60.0
@@ -680,6 +749,14 @@ class TestSpectrum:
         spectrum = line_spectrum(record, 1024)
         assert [float(r.split(",")[0]) for r in rows] == spectrum.frequencies_hz().tolist()
         assert [float(r.split(",")[1]) for r in rows] == spectrum.magnitudes_db.tolist()
+
+    def test_capture_without_vbi_lines_needs_a_line(self, tmp_path, capsys):
+        header = CaptureHeader(samples_per_line=64, lines_per_frame=2, frames=1)
+        path = tmp_path / "unlisted.vbi"
+        write_capture(CaptureFile(header, np.full((1, 2, 64), 60, dtype=np.uint8)), path)
+        assert main(["spectrum", "--in", str(path)]) == 1
+        assert capsys.readouterr().err == "error: capture lists no VBI lines; pass --line\n"
+        assert main(["spectrum", "--in", str(path), "--line", "1"]) == 0
 
     def test_bad_indices_are_exit_one(self, clean_file, tmp_path):
         out = tmp_path / "spectrum.csv"

@@ -1,8 +1,9 @@
 """The one rule that admits numbers, at every setting, header, line and report field.
 
 Each site takes a finite number in its range: a bool (numpy's too), numeric text, NaN,
-infinity or a value below the range is invalid input that names the field,
-while numpy scalars and a Python int where a float is expected are numbers.
+infinity, a value below the range or, where a float is expected, None is invalid input
+that names the field, while numpy scalars and a Python int where a float is expected
+are numbers.
 """
 
 from __future__ import annotations
@@ -141,6 +142,9 @@ def _rejected():
         for value in (True, np.True_, "1.5", math.nan, math.inf, below):
             if value is not None:
                 yield pytest.param(call, field, value, id=f"{name}-{value!r}")
+    # None is no float; an integer site may take it as its default (fft_size).
+    for name, (call, field, _, _) in FLOAT_SITES.items():
+        yield pytest.param(call, field, None, id=f"{name}-None")
 
 
 def _accepted():
@@ -202,6 +206,9 @@ TEXT_CASES = {
         lambda _: SynthConfig(channel_label=None), "channel_label must be a string"),
     "write_capture.extra_value": (
         lambda tmp: _write_header(tmp, extra={"k": 5}), "'k'=5 is not a pair of strings"),
+    "CaptureHeader.channel_label_newline": (
+        lambda _: CaptureHeader(64, 2, 1, channel_label="TVR1\nframes=2"),
+        "channel_label may not contain newlines"),
     "CaptureHeader.extra_key": (
         lambda _: CaptureHeader(64, 2, 1, extra={5: "v"}), "5='v' is not a pair of strings"),
     "CaptureHeader.extra_not_a_mapping": (

@@ -83,6 +83,14 @@ class TestLineRecord:
         assert type(line.bit_depth) is int
         assert type(line.line_index) is int and type(line.frame_index) is int
 
+    @pytest.mark.parametrize("samples,window,message", [
+        (np.zeros((2, 64), dtype=np.uint8), None, "samples must be one-dimensional"),
+        (np.zeros(64, dtype=np.uint8), 5, r"window 5 is not a \(start, end\) pair"),
+    ], ids=["2-D-samples", "scalar-window"])
+    def test_shape_and_window_are_checked(self, samples, window, message):
+        with pytest.raises(InvalidInputError, match=message):
+            LineRecord(samples=samples, window=window)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
     def test_sample_rate_must_be_positive_and_finite(self, rate):
         with pytest.raises(InvalidInputError, match="sample_rate_hz must be positive"):
@@ -617,6 +625,14 @@ class TestPsnr:
     def test_shape_mismatch_lists_both(self):
         with pytest.raises(InvalidInputError, match=r"\(4, 4\) vs \(4, 5\)"):
             psnr(np.zeros((4, 4)), np.zeros((4, 5)))
+
+    def test_one_dimensional_plane_rejected(self):
+        with pytest.raises(InvalidInputError, match="expected a 2-D or 3-D pixel plane, got 1-D"):
+            psnr(np.zeros(16), np.zeros(16))
+
+    def test_one_label_per_channel(self):
+        with pytest.raises(InvalidInputError, match="2 labels supplied for 3 channels"):
+            psnr(np.zeros((4, 4, 3)), np.zeros((4, 4, 3)), channel_labels=["Y", "U"])
 
     def test_per_channel_breakdown(self):
         a = np.zeros((4, 4, 3), dtype=np.int32)

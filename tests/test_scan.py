@@ -76,6 +76,16 @@ class TestParsePlan:
         with pytest.raises(InvalidInputError, match="line 2: .* may not contain / or"):
             parse_plan(text)
 
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_plan_rejected(self, text):
+        with pytest.raises(InvalidInputError, match="^empty channel plan$"):
+            parse_plan(text)
+
+    def test_empty_designation_rejected(self):
+        text = "designation,name,video_carrier_mhz\n ,TVR1,112.25\n"
+        with pytest.raises(InvalidInputError, match="line 2: channel designation may not be empty"):
+            parse_plan(text)
+
     def test_header_required(self):
         with pytest.raises(InvalidInputError, match="header"):
             parse_plan("S02,TVR1,112.25\n")
