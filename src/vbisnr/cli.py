@@ -326,10 +326,12 @@ def _cmd_psnr(args) -> str:
     original = _load_plane(args.original, bits, args.width, args.height)
     decoded = _load_plane(args.decoded, bits, args.width, args.height)
     result = psnr(original, decoded, bits_per_pixel=bits)
+    if args.per_channel and result.per_channel is None:
+        raise InvalidInputError("--per-channel needs planes of 3 channels, got a single plane")
     text = f"mse {result.mse:.6f}\npsnr_db {result.psnr_db:.1f}\n"
     if result.saturated:
         text += "saturated true\n"
-    if args.per_channel and result.per_channel is not None:
+    if args.per_channel:
         text += "".join(f"{label} {value:.1f}\n" for label, value in result.per_channel)
     return text
 

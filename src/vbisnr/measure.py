@@ -14,8 +14,8 @@ objects, one per line, that share one window length, stacked by
 :meth:`LineBlock.stack`. The block's windows are read in place, a fixed
 number of rows at a time. Raw statistics are their exact integer moments,
 so one division and one square root are the only roundings. Filtered
-statistics filter the windows row by row and combine per-line sums of
-squared deviations with ``math.fsum``. Either way, pooling frames in any
+statistics filter each window less the reference level, row by row, and
+combine per-line sums of squares with ``math.fsum``. Either way, pooling frames in any
 order, or reading them in blocks of any size, yields bit-identical
 measurements. A record is admitted once: its constructor checks outside
 input, and what the package builds from admitted values is not checked again.
@@ -445,29 +445,26 @@ def accumulate(
 
     if config.filter is not None:
         taps = dsp.design_lowpass(config.filter, lines.sample_rate_hz)
-        n = 0
-        sums = []
-        try:
-            for block in blocks:
-                y = dsp.apply_filter(block, taps)
-                n += y.size
-                y -= v_ref
-                np.square(y, out=y)
-                sums += y.sum(axis=-1).tolist()
-                del y  # before the next block is filtered
-        except InvalidInputError as exc:
+        if codes.shape[1] <= len(taps):
             raise MeasurementImpossibleError(
-                f"measurement window too short for the {len(taps)}-tap filter: {exc}"
-            ) from exc
+                f"measurement window too short for the {len(taps)}-tap filter: input of "
+                f"{codes.shape[1]} samples is not longer than the {len(taps)}-tap filter"
+            )
+        n = len(codes) * (codes.shape[1] - len(taps) + 1)
+        sums = []
+        for block in blocks:
+            # The window less its reference level: one with no variation
+            # filters to exact zeros.
+            y = dsp.apply_filter(block - v_ref, taps)
+            np.square(y, out=y)
+            sums += y.sum(axis=-1).tolist()
+            del y  # before the next block is filtered
         # Each line's sum depends only on that line, and fsum over them gives
-        # the same bits in any line order. Codes with no variation carry no
-        # noise, whatever round-off the FFT leaves in ``y``.
-        # A total that is not a multiple of the count already shows variation.
-        ss = math.fsum(sums) if total % codes.size or codes.min() < codes.max() else 0.0
+        # the same bits in any line order.
         # Filtering narrows the noise bandwidth; dividing by the filter's white
         # noise gain refers the in-band RMS back to an equivalent full-band
         # level, keeping filtered and unfiltered readings comparable.
-        v_n = math.sqrt(ss / (n - 1)) / dsp._noise_gain(taps.tobytes())
+        v_n = math.sqrt(math.fsum(sums) / (n - 1)) / dsp._noise_gain(taps.tobytes())
     else:
         # n*sum(x^2) - sum(x)^2 is exact in Python ints.
         squares = 0

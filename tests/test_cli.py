@@ -647,6 +647,15 @@ class TestPsnr:
         assert out == ""
         assert err == "error: --width and --height go together\n"
 
+    def test_per_channel_on_a_single_plane_is_exit_one(self, tmp_path, capsys):
+        a = tmp_path / "a.raw"
+        write_plane(a, np.zeros((8, 8)))
+        assert main(["psnr", "--original", str(a), "--decoded", str(a),
+                     "--width", "8", "--height", "8", "--per-channel"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --per-channel needs planes of 3 channels, got a single plane\n"
+
     def test_sidecar_that_is_not_utf8_is_exit_one(self, tmp_path, capsys):
         a = tmp_path / "a.raw"
         write_plane(a, np.zeros((6, 5)))

@@ -475,9 +475,9 @@ class TestAccumulate:
             v_ref = statistics.fmean(
                 np.concatenate([line.window_samples() for line in lines]).tolist()
             )
-            filtered = [apply_filter(line.window_samples(), taps) for line in lines]
+            filtered = [apply_filter(line.window_samples() - v_ref, taps) for line in lines]
             n = sum(y.size for y in filtered)
-            ss = math.fsum(float(np.sum(np.square(y - v_ref))) for y in filtered)
+            ss = math.fsum(float(np.sum(np.square(y))) for y in filtered)
             assert m.v_ref == v_ref, windows
             assert m.n_samples == n == sum(e - s - len(taps) + 1 for s, e in windows)
             assert m.v_n == math.sqrt(ss / (n - 1)) / noise_gain(taps), windows
