@@ -46,9 +46,10 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
 
     Returns an odd-length, exactly symmetric tap vector with unity DC gain.
     The length comes from the Kaiser estimate for the fixed stopband
-    attenuation over the fixed transition width; the estimate is
-    checked against the realized response at the stopband edge and the
-    filter is lengthened if it falls short. The taps are read-only and
+    attenuation over the fixed transition width. The filter is lengthened
+    two taps at a time until its realized response meets that attenuation
+    over the whole stopband, from its edge to Nyquist: the estimate's first
+    sidelobe can be a fraction of a dB short. The taps are read-only and
     cached per ``(spec, sample_rate_hz)``, so equal arguments return the
     same array.
     """
@@ -64,13 +65,13 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
     numtaps, beta = _kaiser_order(spec.stopband_atten_db, spec.transition_hz / nyquist)
     numtaps |= 1  # linear phase with integer group delay
     cutoff = (spec.cutoff_hz + spec.transition_hz / 2.0) / nyquist
-    for _ in range(16):
+    while True:
         m = np.arange(numtaps) - (numtaps - 1) / 2.0
         taps = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, beta)
         # Enforce exact tap symmetry and unity DC gain.
         taps = 0.5 * (taps + taps[::-1])
         taps = taps / taps.sum()
-        if _response_db(taps, stop_edge, sample_rate_hz) <= -spec.stopband_atten_db:
+        if _stopband_peak_db(taps, stop_edge, sample_rate_hz) <= -spec.stopband_atten_db:
             break
         numtaps += 2
     taps.flags.writeable = False
@@ -84,10 +85,15 @@ def _kaiser_order(atten_db: float, width: float) -> tuple[int, float]:
     return math.ceil((atten_db - 7.95) / 2.285 / (math.pi * width) + 1), beta
 
 
-def _response_db(taps: np.ndarray, freq_hz: float, sample_rate_hz: float) -> float:
+def _stopband_peak_db(taps: np.ndarray, stop_edge: float, sample_rate_hz: float) -> float:
+    # The peak response from ``stop_edge`` to Nyquist: at the edge itself, and
+    # on a grid of 64 points to a sidelobe (about sample_rate_hz / len(taps)
+    # wide), which reads a sidelobe's peak at most 0.003 dB low.
     k = np.arange(len(taps))
-    h = np.sum(taps * np.exp(-2j * np.pi * freq_hz * k / sample_rate_hz))
-    return 20.0 * math.log10(max(abs(h), 1e-300))
+    edge = abs(np.sum(taps * np.exp(-2j * np.pi * stop_edge * k / sample_rate_hz)))
+    size = 64 * len(taps)
+    grid = np.abs(np.fft.rfft(taps, size))[math.ceil(stop_edge / sample_rate_hz * size):]
+    return 20.0 * math.log10(max(edge, grid.max(initial=0.0), 1e-300))
 
 
 def noise_gain(taps: np.ndarray) -> float:

@@ -262,6 +262,10 @@ class MeasureConfig:
     snr_cap_db: float = field(default=100.0, init=False)
     filter: dsp.FilterSpec | None = None
 
+    def __post_init__(self) -> None:
+        if not (self.filter is None or isinstance(self.filter, dsp.FilterSpec)):
+            raise InvalidInputError(f"filter must be None or a FilterSpec, got {self.filter!r}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "MeasureConfig":
         filt = d["filter"]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .capture import CaptureFile, CaptureHeader
 from .errors import InvalidInputError, _as_float, _as_int
-from .measure import _row_blocks, default_window
+from .measure import _built, _row_blocks, default_window
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,15 @@ class SynthConfig:
 
 def _quantize(x: np.ndarray, max_code: int, out: np.ndarray) -> int:
     # Round half away from zero, then clip into ``out``; return how many
-    # samples clipped. ``x`` is overwritten.
-    negative = np.signbit(x)
-    np.abs(x, out=x)
+    # samples clipped. ``x`` is overwritten. floor(x + 0.5) rounds every
+    # level that does not clip low, and one that does clips to 0 either way.
+    # Those are the levels at most nextafter(-0.5, 0): their |x| + 0.5 is at
+    # least 1.0 in float64 (0.49999999999999994 + 0.5 is 1.0).
+    clipped = int(np.count_nonzero(x <= np.nextafter(-0.5, 0.0)))
     x += 0.5
     np.floor(x, out=x)
-    np.negative(x, out=x, where=negative)
-    clipped = int(np.count_nonzero((x < 0) | (x > max_code)))
-    np.clip(x, 0, max_code, out=x)
-    out[...] = x
+    clipped += int(np.count_nonzero(x > max_code))
+    np.clip(x, 0, max_code, out=out, casting="unsafe")
     return clipped
 
 
@@ -129,15 +129,13 @@ def synthesize(config: SynthConfig) -> CaptureFile:
     clip_count = 0
     # The generator fills its output in order, so drawing one block of
     # lines after another yields the values of a single whole-capture draw,
-    # and sigma * z + base those of ``rng.normal(0.0, sigma) + base``.
+    # and sigma * z + base those of ``rng.normal(0.0, sigma) + base``; at
+    # sigma 0 that is base exactly, as +-0 + base is base.
     for out in blocks:
         block = buf[: len(out)]
-        if config.noise_sigma > 0:
-            rng.standard_normal(out=block)
-            block *= config.noise_sigma
-            block += base
-        else:
-            block[...] = base
+        rng.standard_normal(out=block)
+        block *= config.noise_sigma
+        block += base
         clip_count += _quantize(block, max_code, out)
     samples.flags.writeable = False
     total = samples.size
@@ -155,4 +153,4 @@ def synthesize(config: SynthConfig) -> CaptureFile:
             f"{clip_count} of {total} samples clipped; reduce noise_sigma or amplitudes"
         )
     header = replace(header, vbi_line_indices=range(header.lines_per_frame), extra=extra)
-    return CaptureFile(header=header, samples=samples)
+    return _built(CaptureFile, header=header, samples=samples)

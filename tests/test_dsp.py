@@ -38,6 +38,14 @@ def response_db(taps, freq_hz, fs=FS):
     return 20.0 * math.log10(abs(h))
 
 
+def stopband_peak_db(taps, stop_edge, fs=FS):
+    # The largest response from ``stop_edge`` to Nyquist: the edge itself, and
+    # a 2^18-point transform over the band, hundreds of points per sidelobe.
+    size = 1 << 18
+    grid = np.abs(np.fft.rfft(taps, size))[math.ceil(stop_edge / fs * size):]
+    return max(response_db(taps, stop_edge, fs), 20.0 * math.log10(grid.max()))
+
+
 class TestDesign:
     def test_unity_dc_gain(self):
         taps = design_lowpass(FilterSpec(), FS)
@@ -58,17 +66,33 @@ class TestDesign:
         taps = design_lowpass(FilterSpec(), FS)
         assert response_db(taps, 0.5e6) >= -1.0
 
-    @pytest.mark.parametrize("cutoff", [1.5e6, 2.0e6, 3.0e6])
-    @pytest.mark.parametrize("fs", [10.0e6, 10.75e6, 13.5e6, 27.0e6])
+    @pytest.mark.parametrize("cutoff", [1.0e6, 1.5e6, 2.0e6, 3.0e6, 4.0e6])
+    @pytest.mark.parametrize("fs", [10.0e6, 10.75e6, 13.5e6, 27.0e6, 35.46895e6])
     def test_fixed_attenuation_is_met(self, cutoff, fs):
+        # Meeting 60 dB at the edge alone leaves 19 of these with a peak of
+        # -58.4 to -59.9 dB, mostly at the first sidelobe some 30 kHz above it.
         spec = FilterSpec(cutoff_hz=cutoff)
         taps = design_lowpass(spec, fs)
-        assert response_db(taps, spec.cutoff_hz + spec.transition_hz, fs) <= -60.0
+        assert stopband_peak_db(taps, spec.cutoff_hz + spec.transition_hz, fs) <= -60.0
+
+    @pytest.mark.parametrize("fs, numtaps", [(13.5e6, 99), (27.0e6, 197), (35.46895e6, 259)])
+    def test_default_cutoff_keeps_the_kaiser_estimate(self, fs, numtaps):
+        assert _kaiser_order(60.0, 0.5e6 / (fs / 2))[0] | 1 == numtaps
+        assert len(design_lowpass(FilterSpec(), fs)) == numtaps
+
+    def test_lengthening_runs_until_the_stopband_is_met(self):
+        # A cutoff near Nyquist at 54 MHz takes 30 lengthenings of the
+        # 393-tap estimate: the search runs until the stopband is met.
+        spec = FilterSpec(cutoff_hz=13.25e6)
+        taps = design_lowpass(spec, 54.0e6)
+        assert len(taps) == 453
+        assert stopband_peak_db(taps, spec.cutoff_hz + spec.transition_hz, 54.0e6) <= -60.0
 
     def test_short_kaiser_estimate_is_lengthened(self):
-        # At 10.75 MHz the estimate for a 2 MHz cutoff is 79 taps, 2 short of 60 dB.
+        # At 10.75 MHz the estimate for a 2 MHz cutoff is 79 taps, 4 short of
+        # 60 dB over the stopband (2 short at its edge alone).
         assert _kaiser_order(60.0, 0.5e6 / 5.375e6)[0] | 1 == 79
-        assert len(design_lowpass(FilterSpec(), 10.75e6)) == 81
+        assert len(design_lowpass(FilterSpec(), 10.75e6)) == 83
 
     def test_nyquist_violation_names_both_frequencies(self):
         with pytest.raises(
@@ -96,7 +120,7 @@ class TestDesign:
             )
             expected = 0.5 * (expected + expected[::-1])
             expected = expected / expected.sum()
-            if response_db(expected, stop_edge, fs) <= -atten:
+            if stopband_peak_db(expected, stop_edge, fs) <= -atten:
                 break
             numtaps += 2
         taps = design_lowpass(spec, fs)

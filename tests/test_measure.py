@@ -594,6 +594,11 @@ class TestMeasureConfig:
         assert MeasureConfig.from_dict(dataclasses.asdict(config)) == config
         assert dataclasses.asdict(MeasureConfig())["filter"] is None
 
+    @pytest.mark.parametrize("filt", ["on", {"cutoff_hz": 2e6}], ids=["text", "dict"])
+    def test_filter_must_be_none_or_a_filter_spec(self, filt):
+        with pytest.raises(InvalidInputError, match="filter must be None or a FilterSpec"):
+            MeasureConfig(filter=filt)
+
 
 class TestPsnr:
     def test_identical_planes_saturate(self):

@@ -15,6 +15,11 @@ moves a reading:
   level rounds afresh, and the FFT rounds a negated or reversed window in
   other places. That is a few ulp, where one lost sample at an end of each
   row moves the reversed reading by 1e-5 or more.
+
+The Hypothesis cases draw the block itself: a few rows of codes at 8 or 10
+bits, and a window that starts and ends anywhere in the row but is long
+enough for the 99 taps of the default filter at 13.5 MHz. They assert the
+exact relations only.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vbisnr import (
     FilterSpec, LineBlock, MeasureConfig, SynthConfig, accumulate, extract_vbi_lines, synthesize,
@@ -94,3 +102,44 @@ def test_offset_negation_and_reversal_keep_the_noise(bit_depth, transform):
                 assert other.v_n == pytest.approx(base.v_n, rel=FILTERED_RTOL, abs=0), seed
             if transform == "reversal":
                 assert other.v_ref == base.v_ref, (seed, mode)
+
+
+# The filter's taps at 13.5 MHz; a filtered window must be longer.
+TAPS = 99
+
+
+@st.composite
+def blocks(draw, bit_depths=(8, 10)) -> LineBlock:
+    """A block of 1 to 4 rows of codes, with a window at least ``TAPS + 1`` long."""
+    bit_depth = draw(st.sampled_from(bit_depths))
+    rows = draw(st.integers(1, 4))
+    start = draw(st.integers(0, 9))
+    end = start + draw(st.integers(TAPS + 1, TAPS + 40))
+    codes = draw(arrays(np.int64, (rows, end + draw(st.integers(0, 9))),
+                        elements=st.integers(0, (1 << bit_depth) - 1)))
+    return LineBlock(codes, frame_indices=range(rows), line_indices=(0,) * rows,
+                     bit_depth=bit_depth, window=(start, end))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks(bit_depths=(8,)))
+def test_drawn_codes_times_four_read_as_ten_bit_scale_exactly(lines):
+    wide = _transformed(lines, lines.samples * 4, 10)
+    for config in MODES.values():
+        base, other = accumulate(lines, config), accumulate(wide, config)
+        assert (other.v_ref, other.v_n) == (4 * base.v_ref, 4 * base.v_n)
+        assert (other.snr_db, other.n_samples) == (base.snr_db, base.n_samples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks(), st.data())
+def test_drawn_offset_negation_and_reversal_keep_the_raw_noise(lines, data):
+    top = (1 << lines.bit_depth) - 1
+    codes = lines.samples
+    offset = data.draw(st.integers(-int(codes.min()), top - int(codes.max())), label="offset")
+    base = accumulate(lines)
+    for rows in (codes + offset, top - codes, _reversed_windows(lines)):
+        other = accumulate(_transformed(lines, rows, lines.bit_depth))
+        assert (other.v_n, other.snr_db, other.n_samples) == (
+            base.v_n, base.snr_db, base.n_samples)
+    assert other.v_ref == base.v_ref  # reversal, the last, keeps the level too
