@@ -19,7 +19,7 @@ capture = synthesize(
     )
 )
 line = extract_vbi_lines(capture)[0]
-spectrum = line_spectrum(line, fft_size=1024)
+spectrum = line_spectrum(line)
 
 print(f"fft size {spectrum.fft_size}, bin width {spectrum.bin_hz / 1e3:.1f} kHz, "
       f"{len(spectrum.magnitudes_db)} bins\n")

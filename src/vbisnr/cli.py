@@ -166,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--frame", type=int, default=0)
     p.add_argument("--line", type=int, help="line index within the frame")
-    p.add_argument("--fft-size", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("plan-validate", help="check a channel-plan CSV")
@@ -357,7 +356,7 @@ def _cmd_spectrum(args) -> str:
     record = LineRecord(
         capture.samples[args.frame, line_idx], header.bit_depth, header.sample_rate_hz
     )
-    spectrum = line_spectrum(record, args.fft_size)
+    spectrum = line_spectrum(record)
     rows = ["frequency_hz,magnitude_db"]
     for f, db in zip(spectrum.frequencies_hz(), spectrum.magnitudes_db):
         rows.append(f"{float(f)!r},{float(db)!r}")
@@ -385,7 +384,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _write_report(_COMMANDS[args.command](args), getattr(args, "out", None))
         return EXIT_OK
-    except InvalidInputError as exc:
+    except (InvalidInputError, MemoryError) as exc:
+        # A setting too large to allocate (synth --frames 10**12) is invalid input.
         _diagnose(f"error: {exc}")
         return EXIT_INVALID
     except (CaptureFormatError, OSError) as exc:

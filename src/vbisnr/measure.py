@@ -46,10 +46,12 @@ _LN10 = math.log(10.0)
 # is about one block, 256 KiB in float64, whatever the input; smaller blocks
 # pay more per-call overhead. A block's float buffers lie above glibc's
 # starting 128 KiB mmap and trim thresholds, so unless an earlier, larger
-# free raised those, each call maps them, or regrows the heap, afresh: a
-# fresh process that reads a 300-frame, 2-line capture from a file takes 97
-# minor page faults per step that measures a 30-frame window and its newest
-# frame, raw and filtered (numpy 2.4, glibc defaults).
+# free raised those, a call may map them, or regrow the heap, afresh. How
+# many faults that costs depends on the heap layout, not on this code: a fresh
+# process's 30-frame raw-and-filtered step took 0 or 97 minor faults by
+# layout, and a fresh ``scan`` child's filtered call 129-175 faults and
+# 1.1-1.4 ms against ~0.4 ms warm (numpy 2.4, glibc defaults). Choosing the
+# block waits for a benchmark that times such fresh-process steps.
 _BLOCK_SAMPLES = 1 << 15
 
 
@@ -299,23 +301,11 @@ def _periodic_hann(n: int) -> np.ndarray:
     return np.hanning(n + 1)[:-1]
 
 
-def line_spectrum(line: LineRecord, fft_size: int | None = None) -> Spectrum:
-    """Hann-windowed, zero-padded magnitude spectrum of a whole line.
-
-    ``fft_size`` must be a power of two no smaller than the line length;
-    it defaults to the smallest such power of two.
-    """
+def line_spectrum(line: LineRecord) -> Spectrum:
+    """Hann-windowed magnitude spectrum of a whole line, zero-padded to the
+    smallest power of two no shorter than the line."""
     n = len(line.samples)
-    if fft_size is None:
-        fft_size = 1 << (n - 1).bit_length()
-    else:
-        fft_size = _as_int(fft_size, "fft_size", 1)
-        if fft_size & (fft_size - 1):
-            raise InvalidInputError(f"fft_size must be a power of two, got {fft_size}")
-        if fft_size < n:
-            raise InvalidInputError(
-                f"fft_size {fft_size} is smaller than the line ({n} samples)"
-            )
+    fft_size = 1 << (n - 1).bit_length()
 
     x = np.asarray(line.samples, dtype=np.float64)
     mean = float(x.mean())

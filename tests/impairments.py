@@ -2,11 +2,12 @@
 
 ``synthesize`` makes white noise and sinusoids only. Each function here
 takes a synthesized capture and returns a new :class:`CaptureFile` with the
-impairment applied, plus its truth. For noise, hum and a data line that is
-the variance in code units squared that the impairment adds to the raw
-pooled samples, the windows of the listed VBI lines that ``accumulate``
-reads; a data line also names its line, and clipping counts the window
-samples that clip. The input capture is left as it is.
+impairment applied, plus its truth. For noise, hum, a data line and
+impulses that is the variance in code units squared that the impairment
+adds to the raw pooled samples, the windows of the listed VBI lines that
+``accumulate`` reads; a data line also names its line, impulses give their
+positions in those windows, and clipping counts the window samples that
+clip. The input capture is left as it is.
 
 Every level, seed and tolerance band is fixed here, before any measurement
 reads an impaired capture. Raw ``accumulate`` should read each added
@@ -36,7 +37,20 @@ SEEDS = (3, 4, 5)
 COLOURED_SIGMA = 2.0
 COLOURING_TAPS = (0.5, 1.0, 0.5)
 
-# White noise under hum, a data line and clipping.
+# Its lag-1 correlation in whole codes, the truth a successive-difference
+# test estimates: sigma^2 * sum(c_k c_k+1) / (sigma^2 * sum(c^2) + 1/12),
+# since rounding adds white error. 0.658 at sigma 2; 2/3 before rounding.
+COLOURED_LAG1 = (
+    COLOURED_SIGMA**2 * sum(a * b for a, b in zip(COLOURING_TAPS, COLOURING_TAPS[1:]))
+    / (COLOURED_SIGMA**2 * sum(c * c for c in COLOURING_TAPS) + QUANTIZATION_FLOOR)
+)
+
+# Absolute band around COLOURED_LAG1 for the pooled lag-1 sample correlation
+# of a 30-frame, 2-line, 864-sample capture: about four standard errors by
+# Bartlett's formula (rho(1) 0.658, rho(2) 0.164: sd 0.0026 over N = 44580).
+LAG1_TOLERANCE = 0.01
+
+# White noise under hum, a data line, impulses and clipping.
 BASE_SIGMA = 2.19
 
 # Field-rate hum: a square wave of +-HUM_CODES across frames.
@@ -46,6 +60,12 @@ HUM_CODES = 1
 # its upper level DATA_LEVEL of the nominal video amplitude above black.
 DATA_RATE_HZ = 6.9375e6
 DATA_LEVEL = 0.66
+
+# Sparse impulses: whole-code spikes of +-IMPULSE_CODES, each sample of a
+# listed line struck with probability IMPULSE_RATE: on white noise of
+# BASE_SIGMA they lower the raw SNR by 0.68-0.83 dB on SEEDS.
+IMPULSE_RATE = 1e-3
+IMPULSE_CODES = 30
 
 # Clipping: black pushed down by CLIP_CODES, from 60 to 3 at 8 bits, so the
 # noise of BASE_SIGMA reaches below code 0.
@@ -119,6 +139,33 @@ def data_line(
     offsets[:, line] = codes * bits[:, bit_of_sample]
     shifted = capture.samples + offsets
     return CaptureFile(header, shifted), line, float(np.var(_pooled(capture, offsets)))
+
+
+def impulses(capture: CaptureFile, seed: int = 0) -> tuple[CaptureFile, np.ndarray, float]:
+    """Add spikes of ``+-IMPULSE_CODES`` at seeded samples of the listed lines.
+
+    Each sample of a listed VBI line is struck with probability
+    ``IMPULSE_RATE``, with a seeded sign. Whole codes need no re-quantization,
+    and a capture the spikes would clip is refused. Truth: the ``(frame,
+    line, sample)`` positions of the spikes inside the pooled windows, in
+    capture coordinates, and the variance of the spikes over those windows.
+    """
+    header = capture.header
+    lines = list(header.vbi_line_indices)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shape = (header.frames, len(lines), header.samples_per_line)
+    struck = rng.random(shape) < IMPULSE_RATE
+    signs = rng.integers(0, 2, size=shape) * 2 - 1
+    offsets = np.zeros(capture.samples.shape, dtype=np.int64)
+    offsets[:, lines] = np.where(struck, signs * IMPULSE_CODES, 0)
+    shifted = capture.samples + offsets
+    if shifted.min() < 0 or shifted.max() > (1 << header.bit_depth) - 1:
+        raise ValueError("impulses clipped; their truth would not hold")
+    pooled = _pooled(capture, offsets)
+    frame, row, sample = np.nonzero(pooled)
+    start, _ = default_window(header.samples_per_line)
+    positions = np.stack([frame, np.asarray(lines)[row], sample + start], axis=1)
+    return CaptureFile(header, shifted), positions, float(np.var(pooled))
 
 
 def black_clip(capture: CaptureFile) -> tuple[CaptureFile, int]:

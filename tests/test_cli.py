@@ -108,6 +108,15 @@ class TestSynth:
     def test_unwritable_output_is_io_failure(self, tmp_path):
         assert main(synth_args(tmp_path / "missing" / "x.vbi")) == 2
 
+    def test_capture_past_memory_is_exit_one(self, tmp_path, capsys):
+        # 1.5 PiB lies past the 47-bit address space, so the allocation is
+        # refused at once, whatever the machine's overcommit setting.
+        out = tmp_path / "big.vbi"
+        assert main(["synth", "--frames", "1000000000000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags,config",
         [
@@ -742,7 +751,7 @@ class TestSpectrum:
             ["synth", "--sigma", "0", "--frames", "1",
              "--interferer", "2e6,10,0", "--out", str(path)]
         ) == 0
-        assert main(["spectrum", "--in", str(path), "--fft-size", "1024"]) == 0
+        assert main(["spectrum", "--in", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "frequency_hz,magnitude_db"
         rows = lines[1:]
@@ -755,7 +764,7 @@ class TestSpectrum:
 
         capture = read_capture(path)
         record = LineRecord(samples=capture.samples[0, capture.header.vbi_line_indices[0]])
-        spectrum = line_spectrum(record, 1024)
+        spectrum = line_spectrum(record)
         assert [float(r.split(",")[0]) for r in rows] == spectrum.frequencies_hz().tolist()
         assert [float(r.split(",")[1]) for r in rows] == spectrum.magnitudes_db.tolist()
 
@@ -766,6 +775,11 @@ class TestSpectrum:
         assert main(["spectrum", "--in", str(path)]) == 1
         assert capsys.readouterr().err == "error: capture lists no VBI lines; pass --line\n"
         assert main(["spectrum", "--in", str(path), "--line", "1"]) == 0
+
+    def test_fft_size_is_no_flag(self, clean_file, capsys):
+        # The transform length follows from the line; the flag is gone.
+        assert main(["spectrum", "--in", str(clean_file), "--fft-size", "1024"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --fft-size 1024\n"
 
     def test_bad_indices_are_exit_one(self, clean_file, tmp_path):
         out = tmp_path / "spectrum.csv"

@@ -325,13 +325,13 @@ class TestLineSpectrum:
         n = np.arange(1024)
         k = 64
         x = np.round(100 + 50 * np.sin(2 * np.pi * k * n / 1024)).astype(np.int32)
-        spectrum = line_spectrum(LineRecord(samples=x), fft_size=1024)
+        spectrum = line_spectrum(LineRecord(samples=x))
         assert int(np.argmax(spectrum.magnitudes_db[1:])) + 1 == k
 
     def test_two_mhz_tone_lands_in_bin_152(self):
         t = np.arange(864) / FS
         x = np.round(60 + 10 * np.sin(2 * np.pi * 2.0e6 * t)).astype(np.int32)
-        spectrum = line_spectrum(LineRecord(samples=x), fft_size=1024)
+        spectrum = line_spectrum(LineRecord(samples=x))
         expected_bin = round(2.0e6 / FS * 1024)
         assert expected_bin == 152
         assert int(np.argmax(spectrum.magnitudes_db[1:])) + 1 == expected_bin
@@ -347,15 +347,19 @@ class TestLineSpectrum:
         assert spectrum.magnitudes_db[expected_bin] == pytest.approx(direct_db, abs=1e-9)
 
     def test_bin_spacing(self):
-        spectrum = line_spectrum(constant_line(), fft_size=2048)
-        assert spectrum.bin_hz == FS / 2048
-        assert len(spectrum.frequencies_hz()) == 1025
+        spectrum = line_spectrum(constant_line())
+        assert spectrum.bin_hz == FS / 1024
+        assert len(spectrum.frequencies_hz()) == 513
 
-    def test_bad_fft_sizes_rejected(self):
-        with pytest.raises(InvalidInputError, match="power of two"):
-            line_spectrum(constant_line(), fft_size=1000)
-        with pytest.raises(InvalidInputError, match="smaller than the line"):
-            line_spectrum(constant_line(), fft_size=512)
+    @pytest.mark.parametrize("n,size", [(100, 128), (1024, 1024), (1025, 2048), (2048, 2048)])
+    def test_length_is_the_next_power_of_two(self, n, size):
+        assert line_spectrum(constant_line(n=n)).fft_size == size
+
+    def test_length_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="fft_size"):
+            line_spectrum(constant_line(), fft_size=1024)
+        with pytest.raises(TypeError):
+            line_spectrum(constant_line(), 1024)
 
 
 def test_parseval_on_rectangular_variant():

@@ -1,9 +1,8 @@
 """The one rule that admits numbers, at every setting, header, line and report field.
 
 Each site takes a finite number in its range: a bool (numpy's too), numeric text, NaN,
-infinity, a value below the range or, where a float is expected, None is invalid input
-that names the field, while numpy scalars and a Python int where a float is expected
-are numbers.
+infinity, a value below the range or None is invalid input that names the field, while
+numpy scalars and a Python int where a float is expected are numbers.
 """
 
 from __future__ import annotations
@@ -132,8 +131,6 @@ INT_SITES = {
     "error_margin.n_samples": (lambda v: error_margin(2.0, v), "n_samples", 0, 100),
     "error_margin_db.n_samples": (lambda v: error_margin_db(v), "n_samples", 0, 100),
     "snr_db.bit_depth": (lambda v: snr_db(1.0, v), "bit_depth", 7, 10),
-    "line_spectrum.fft_size": (
-        lambda v: line_spectrum(LineRecord(ROW), v), "fft_size", 0, 64),
 }
 
 
@@ -142,8 +139,8 @@ def _rejected():
         for value in (True, np.True_, "1.5", math.nan, math.inf, below):
             if value is not None:
                 yield pytest.param(call, field, value, id=f"{name}-{value!r}")
-    # None is no float; an integer site may take it as its default (fft_size).
-    for name, (call, field, _, _) in FLOAT_SITES.items():
+    # None is no number, and no site takes it as a default.
+    for name, (call, field, _, _) in {**FLOAT_SITES, **INT_SITES}.items():
         yield pytest.param(call, field, None, id=f"{name}-None")
 
 

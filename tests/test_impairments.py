@@ -2,19 +2,32 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from vbisnr import SynthConfig, accumulate, default_window, extract_vbi_lines, synthesize
+from vbisnr import (
+    CaptureFile,
+    SynthConfig,
+    accumulate,
+    default_window,
+    extract_vbi_lines,
+    synthesize,
+)
 from vbisnr.synth import _quantize
 
 from impairments import (
     BASE_SIGMA,
     CLIP_CODES,
+    COLOURED_LAG1,
     COLOURED_SIGMA,
     COLOURING_TAPS,
     DATA_LEVEL,
     HUM_CODES,
+    IMPULSE_CODES,
+    IMPULSE_RATE,
+    LAG1_TOLERANCE,
     QUANTIZATION_FLOOR,
     SEEDS,
     TOLERANCE,
@@ -22,6 +35,7 @@ from impairments import (
     coloured_noise,
     data_line,
     field_hum,
+    impulses,
 )
 
 
@@ -36,6 +50,24 @@ def test_coloured_noise_reads_its_truth_plus_the_floor(seed, bit_depth):
     impaired, truth = coloured_noise(clean, seed=seed)
     assert truth == COLOURED_SIGMA**2 * sum(h * h for h in COLOURING_TAPS)
     assert raw_variance(impaired) == pytest.approx(truth + QUANTIZATION_FLOOR, rel=TOLERANCE)
+
+
+def pooled_lag1(capture) -> float:
+    # The lag-1 sample correlation of the pooled windows about their pooled
+    # mean, over neighbours within a row.
+    start, end = default_window(capture.header.samples_per_line)
+    lines = list(capture.header.vbi_line_indices)
+    x = capture.samples[:, lines, start:end].astype(np.float64)
+    x -= x.mean()
+    return float(np.sum(x[..., 1:] * x[..., :-1]) / np.sum(x * x))
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_coloured_noise_reads_its_lag1_correlation(seed, bit_depth):
+    impaired, _ = coloured_noise(synthesize(SynthConfig(bit_depth=bit_depth)), seed=seed)
+    assert COLOURED_LAG1 == pytest.approx(0.658, abs=5e-4)
+    assert pooled_lag1(impaired) == pytest.approx(COLOURED_LAG1, abs=LAG1_TOLERANCE)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -63,11 +95,14 @@ def test_impairments_leave_their_input_and_repeat_by_seed():
     hum, _ = field_hum(clean)
     data, _, _ = data_line(clean, seed=SEEDS[0])
     data_again, _, _ = data_line(clean, seed=SEEDS[0])
+    spiked, _, _ = impulses(clean, seed=SEEDS[0])
+    spiked_again, _, _ = impulses(clean, seed=SEEDS[0])
     clipped, _ = black_clip(clean)
     np.testing.assert_array_equal(clean.samples, before)
     np.testing.assert_array_equal(first.samples, again.samples)
     np.testing.assert_array_equal(data.samples, data_again.samples)
-    for impaired in (first, hum, data, clipped):
+    np.testing.assert_array_equal(spiked.samples, spiked_again.samples)
+    for impaired in (first, hum, data, spiked, clipped):
         assert impaired.header == clean.header
         assert impaired.samples.dtype == clean.samples.dtype
 
@@ -118,6 +153,38 @@ def test_data_line_is_two_whole_code_levels_on_its_line(bit_depth, codes):
 def test_data_line_must_be_listed():
     with pytest.raises(ValueError, match="not a listed VBI line"):
         data_line(synthesize(SynthConfig()), line=5)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_impulses_read_their_truth_plus_the_floor(seed):
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
+    impaired, _, truth = impulses(base, seed=seed)
+    assert 0 < truth < 2 * IMPULSE_RATE * IMPULSE_CODES**2
+    expected = BASE_SIGMA**2 + truth + QUANTIZATION_FLOOR
+    assert raw_variance(impaired) == pytest.approx(expected, rel=TOLERANCE)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_impulses_are_whole_code_spikes_at_their_positions(seed):
+    # Three lines, of which 0 and 2 are listed.
+    three = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed, lines_per_frame=3))
+    base = CaptureFile(replace(three.header, vbi_line_indices=(0, 2)), three.samples)
+    impaired, positions, truth = impulses(base, seed=seed)
+    added = impaired.samples.astype(np.int64) - base.samples
+    assert not added[:, 1].any()
+    start, end = default_window(864)
+    inside = np.zeros(added.shape, dtype=bool)
+    inside[:, [0, 2], start:end] = True
+    np.testing.assert_array_equal(positions, np.argwhere((added != 0) & inside))
+    spikes = added[tuple(positions.T)]
+    assert set(np.unique(spikes).tolist()) == {-IMPULSE_CODES, IMPULSE_CODES}
+    n = 30 * 2 * (end - start)
+    assert truth == pytest.approx(np.sum(spikes**2) / n - (spikes.sum() / n) ** 2, rel=1e-12)
+
+
+def test_impulses_that_would_clip_are_refused():
+    with pytest.raises(ValueError, match="clipped"):
+        impulses(synthesize(SynthConfig(black_level=IMPULSE_CODES - 1.0)))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
