@@ -36,8 +36,7 @@ from .errors import (
     _as_int,
 )
 from .measure import (
-    LineRecord, MeasureConfig, _admit_codes, _pixel_bits, _row_blocks, accumulate,
-    line_spectrum, psnr
+    LineRecord, MeasureConfig, _pixel_bits, _row_blocks, accumulate, line_spectrum, psnr
 )
 
 EXIT_OK = 0
@@ -158,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--original", required=True)
     p.add_argument("--decoded", required=True)
     p.add_argument("--bits", type=int, default=8)
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
+    p.add_argument("--width", type=int, required=True)
+    p.add_argument("--height", type=int, required=True)
     p.add_argument("--per-channel", action="store_true")
 
     p = sub.add_parser("spectrum", help="export a line's magnitude spectrum as CSV")
@@ -271,43 +270,17 @@ def _cmd_scan(args) -> str:
     return cli.render_report(report, args.format)
 
 
-def _load_plane(path: str, bits: int, width: int | None, height: int | None) -> np.ndarray:
-    if (width is None) != (height is None):
-        raise InvalidInputError("--width and --height go together")
-    if width is None:
-        sidecar = Path(path + ".hdr")
-        if not sidecar.exists():
-            raise InvalidInputError(
-                f"{path}: supply --width/--height or a {sidecar.name} sidecar"
-            )
-        fields = {}
-        for line in _read_text(sidecar).splitlines():
-            if not line.strip():
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"{sidecar}: malformed header line {line!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key in fields:
-                raise InvalidInputError(f"{sidecar}: duplicate header field {key!r}")
-            fields[key] = value
-        try:
-            width = int(fields["width"])
-            height = int(fields["height"])
-        except (KeyError, ValueError) as exc:
-            raise InvalidInputError(f"{sidecar}: bad sidecar header: {exc}") from exc
+def _load_plane(path: str, bits: int, width: int, height: int) -> np.ndarray:
+    # Whole samples of ``bits``-bit codes, as a capture's payload is; psnr()
+    # admits the codes.
     width, height = _as_int(width, "width", 1), _as_int(height, "height", 1)
-
-    # Whole samples of ``bits``-bit codes, checked as a capture's payload is.
     dtype = _sample_dtype(bits)
     data = np.fromfile(path, dtype=np.uint8)
     if data.size % dtype.itemsize:
         raise InvalidInputError(
             f"{path}: {data.size} bytes are not whole {dtype.itemsize}-byte samples"
         )
-    try:
-        data = _admit_codes(data.view(dtype), bits, dtype)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
+    data = data.view(dtype)
     plane_px = width * height
     if data.size == plane_px:
         return data.reshape(height, width)

@@ -491,7 +491,9 @@ def psnr(
     2-D inputs are a single plane; 3-D inputs are height x width x channels
     and additionally get a per-channel breakdown while ``mse``/``psnr_db``
     stay pooled over all pixels. Zero MSE reads the SNR cap,
-    ``MeasureConfig.snr_cap_db``, and sets the saturation flag.
+    ``MeasureConfig.snr_cap_db``, and sets the saturation flag. Each plane
+    is admitted as a capture's samples are: non-empty, of integer codes
+    within ``bits_per_pixel``; a fault names the plane's parameter.
     """
     a = np.asarray(original)
     b = np.asarray(decoded)
@@ -500,6 +502,15 @@ def psnr(
     if a.ndim not in (2, 3):
         raise InvalidInputError(f"expected a 2-D or 3-D pixel plane, got {a.ndim}-D")
     bits_per_pixel = _pixel_bits(bits_per_pixel)
+    planes = []
+    for name, plane in (("original", a), ("decoded", b)):
+        try:
+            if not plane.size:
+                raise InvalidInputError("the pixel plane is empty")
+            planes.append(_admit_codes(plane, bits_per_pixel, plane.dtype))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{name}: {exc}") from None
+    a, b = planes
 
     diff = a.astype(np.float64) - b.astype(np.float64)
     sq = np.square(diff)

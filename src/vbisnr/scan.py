@@ -65,7 +65,22 @@ class ChannelEntry:
 
 @dataclass(frozen=True)
 class ChannelPlan:
+    """One or more :class:`ChannelEntry`, each designation once."""
+
     entries: tuple[ChannelEntry, ...]
+
+    def __post_init__(self) -> None:
+        entries = tuple(self.entries)
+        seen: set[str] = set()
+        for entry in entries:
+            if not isinstance(entry, ChannelEntry):
+                raise InvalidInputError(f"a plan entry must be a ChannelEntry, got {entry!r}")
+            if entry.designation in seen:
+                raise InvalidInputError(f"duplicate channel designation {entry.designation!r}")
+            seen.add(entry.designation)
+        if not entries:
+            raise InvalidInputError("empty channel plan")
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -125,7 +140,6 @@ def parse_plan(text: str) -> ChannelPlan:
         )
 
     entries: list[ChannelEntry] = []
-    seen: set[str] = set()
     for lineno, row in rows[1:]:
         if len(row) != 3:
             raise InvalidInputError(f"plan line {lineno}: expected 3 fields, got {len(row)}")
@@ -136,14 +150,11 @@ def parse_plan(text: str) -> ChannelPlan:
             raise InvalidInputError(
                 f"plan line {lineno}: bad frequency {freq_text!r}"
             ) from exc
-        if designation in seen:
-            raise InvalidInputError(f"duplicate channel designation {designation!r}")
-        seen.add(designation)
         try:
             entries.append(ChannelEntry(designation, name, freq))
         except InvalidInputError as exc:
             raise InvalidInputError(f"plan line {lineno}: {exc}") from exc
-    return ChannelPlan(entries=tuple(entries))
+    return ChannelPlan(entries=entries)
 
 
 def scan(
@@ -163,8 +174,6 @@ def scan(
     its Nyquist frequency, is invalid input and ends the scan, as it ends
     a single measurement.
     """
-    if len(plan) == 0:
-        raise InvalidInputError("cannot scan an empty channel plan")
     if not isinstance(filter, FilterSpec):
         raise InvalidInputError(f"the snr2 filter must be a FilterSpec, got {filter!r}")
     raw, effective = MeasureConfig(), MeasureConfig(filter=filter)

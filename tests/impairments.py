@@ -2,12 +2,13 @@
 
 ``synthesize`` makes white noise and sinusoids only. Each function here
 takes a synthesized capture and returns a new :class:`CaptureFile` with the
-impairment applied, plus its truth. For noise, hum, a data line and
-impulses that is the variance in code units squared that the impairment
+impairment applied, plus its truth. For noise, hum, a data line, impulses
+and tones that is the variance in code units squared that the impairment
 adds to the raw pooled samples, the windows of the listed VBI lines that
 ``accumulate`` reads; a data line also names its line, impulses give their
-positions in those windows, and clipping counts the window samples that
-clip. The input capture is left as it is.
+positions in those windows, a line-locked tone gives the pattern it repeats
+on every window, and clipping counts the window samples that clip. The
+input capture is left as it is.
 
 Every level, seed and tolerance band is fixed here, before any measurement
 reads an impaired capture. Raw ``accumulate`` should read each added
@@ -66,6 +67,15 @@ DATA_LEVEL = 0.66
 # BASE_SIGMA they lower the raw SNR by 0.68-0.83 dB on SEEDS.
 IMPULSE_RATE = 1e-3
 IMPULSE_CODES = 30
+
+# A tone inside the 2 MHz passband, TONE_CODES in amplitude. Line-locked, it
+# starts every line at TONE_PHASE, as synthesize's interferers do: its power
+# is a pattern shared by every window position, not noise that varies from
+# line to line. Free-running, each line draws its own phase, and its power
+# is residual noise.
+TONE_HZ = 1.0e6
+TONE_CODES = 3.0
+TONE_PHASE = 0.0
 
 # Clipping: black pushed down by CLIP_CODES, from 60 to 3 at 8 bits, so the
 # noise of BASE_SIGMA reaches below code 0.
@@ -166,6 +176,47 @@ def impulses(capture: CaptureFile, seed: int = 0) -> tuple[CaptureFile, np.ndarr
     start, _ = default_window(header.samples_per_line)
     positions = np.stack([frame, np.asarray(lines)[row], sample + start], axis=1)
     return CaptureFile(header, shifted), positions, float(np.var(pooled))
+
+
+def _tone(capture: CaptureFile, phases: np.ndarray) -> tuple[CaptureFile, np.ndarray]:
+    # The capture with a TONE_HZ sine of TONE_CODES added to every line at
+    # its phase in ``phases`` (broadcast over frames and lines), re-quantized
+    # by the generator's rule, and the whole-code offsets it added.
+    header = capture.header
+    n = np.arange(header.samples_per_line)
+    tone = TONE_CODES * np.sin(2.0 * np.pi * TONE_HZ / header.sample_rate_hz * n + phases)
+    out = np.empty(capture.samples.shape, dtype=capture.samples.dtype)
+    if _quantize(capture.samples + tone, (1 << header.bit_depth) - 1, out):
+        raise ValueError("the tone clipped; its truth would not hold")
+    return CaptureFile(header, out), out.astype(np.int64) - capture.samples
+
+
+def locked_tone(capture: CaptureFile) -> tuple[CaptureFile, np.ndarray, float]:
+    """Add a line-locked tone: every line starts it at ``TONE_PHASE``.
+
+    The generator's rounding of a positive level is shift-invariant, so each
+    line gains the same whole-code offsets. Truth: those offsets over the
+    default window, the pattern that repeats at each window position, and
+    their variance, the power the pattern adds to the pooled samples.
+    """
+    impaired, offsets = _tone(capture, np.full((1, 1, 1), TONE_PHASE))
+    start, end = default_window(capture.header.samples_per_line)
+    pattern = offsets[0, capture.header.vbi_line_indices[0], start:end]
+    return impaired, pattern, float(np.var(pattern))
+
+
+def free_tone(capture: CaptureFile, seed: int = 0) -> tuple[CaptureFile, float]:
+    """Add a free-running tone: each line draws its phase uniformly.
+
+    Same frequency and amplitude as :func:`locked_tone`. Truth: the variance
+    of its whole-code offsets over the pooled windows, which no pattern
+    shared by the lines holds.
+    """
+    header = capture.header
+    rng = np.random.Generator(np.random.PCG64(seed))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(header.frames, header.lines_per_frame, 1))
+    impaired, offsets = _tone(capture, phases)
+    return impaired, float(np.var(_pooled(capture, offsets)))
 
 
 def black_clip(capture: CaptureFile) -> tuple[CaptureFile, int]:

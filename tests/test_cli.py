@@ -611,50 +611,22 @@ class TestPsnr:
         out = capsys.readouterr().out
         assert "ch0 100.0" in out and "ch1 " in out and "ch2 100.0" in out
 
-    def test_sidecar_header(self, tmp_path, capsys):
-        a = tmp_path / "a.raw"
-        write_plane(a, np.zeros((6, 5)))
-        (tmp_path / "a.raw.hdr").write_text("width=5\n\n  \nheight=6\n\n")
-        assert main(["psnr", "--original", str(a), "--decoded", str(a)]) == 0
-        assert "saturated true" in capsys.readouterr().out
-
     @pytest.mark.parametrize(
-        "text,fault",
-        [
-            ("width=4\nheight=6\nwidth=5\n", "duplicate header field 'width'"),
-            ("width=5\nheight=6\nplanar\n", "malformed header line 'planar'"),
-            ("width=five\nheight=6\n",
-             "bad sidecar header: invalid literal for int() with base 10: 'five'"),
-        ],
-        ids=["duplicate", "malformed", "not-an-integer"],
+        "flags,missing",
+        [(["--height", "4"], "--width"), (["--width", "8"], "--height"),
+         ([], "--width, --height")],
+        ids=["no-width", "no-height", "neither"],
     )
-    def test_loose_sidecar_is_exit_one(self, tmp_path, capsys, text, fault):
-        a = tmp_path / "a.raw"
-        write_plane(a, np.zeros((6, 5)))
-        (tmp_path / "a.raw.hdr").write_text(text)
-        assert main(["psnr", "--original", str(a), "--decoded", str(a)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: {tmp_path / 'a.raw.hdr'}: {fault}\n"
-
-    def test_plane_without_a_size_is_exit_one(self, tmp_path, capsys):
-        a = tmp_path / "a.raw"
-        write_plane(a, np.zeros((6, 5)))
-        assert main(["psnr", "--original", str(a), "--decoded", str(a)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {a}: supply --width/--height or a a.raw.hdr sidecar\n"
-        )
-
-    @pytest.mark.parametrize("flag", ["--width", "--height"])
-    def test_lone_size_flag_is_exit_one(self, tmp_path, capsys, flag):
-        # Beside a sidecar too: neither size of the pair is taken from it.
+    def test_plane_without_a_size_is_exit_one(self, tmp_path, capsys, flags, missing):
+        # The size comes from the flags alone: a <plane>.hdr beside the plane
+        # is not read.
         a = tmp_path / "a.raw"
         write_plane(a, np.zeros((4, 8)))
         (tmp_path / "a.raw.hdr").write_text("width=8\nheight=4\n")
-        assert main(["psnr", "--original", str(a), "--decoded", str(a), flag, "16"]) == 1
+        assert main(["psnr", "--original", str(a), "--decoded", str(a), *flags]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: --width and --height go together\n"
+        assert err == f"error: the following arguments are required: {missing}\n"
 
     def test_per_channel_on_a_single_plane_is_exit_one(self, tmp_path, capsys):
         a = tmp_path / "a.raw"
@@ -664,17 +636,6 @@ class TestPsnr:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: --per-channel needs planes of 3 channels, got a single plane\n"
-
-    def test_sidecar_that_is_not_utf8_is_exit_one(self, tmp_path, capsys):
-        a = tmp_path / "a.raw"
-        write_plane(a, np.zeros((6, 5)))
-        sidecar = tmp_path / "a.raw.hdr"
-        sidecar.write_bytes(b"width=5\nheight=6\nsource=TVR\xe3\n")
-        assert main(["psnr", "--original", str(a), "--decoded", str(a)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        fault = "'utf-8' codec can't decode byte 0xe3 in position 27: invalid continuation byte"
-        assert err == f"error: {sidecar}: {fault}\n"
 
     def test_shape_mismatch_is_exit_one(self, tmp_path, capsys):
         a, b = tmp_path / "a.raw", tmp_path / "b.raw"
@@ -696,7 +657,7 @@ class TestPsnr:
         ) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: {a}: sample values exceed the 4-bit code range\n"
+        assert err == "error: original: sample values exceed the 4-bit code range\n"
 
     def test_partial_sample_is_exit_one(self, tmp_path, capsys):
         a = tmp_path / "a.raw"
@@ -719,16 +680,11 @@ class TestPsnr:
         ) == 1
         assert capsys.readouterr().err == f"error: bits_per_pixel must be 1..16, got {bits}\n"
 
-    @pytest.mark.parametrize("sidecar", [False, True])
-    def test_non_positive_plane_size_is_exit_one(self, tmp_path, capsys, sidecar):
+    def test_non_positive_plane_size_is_exit_one(self, tmp_path, capsys):
         a = tmp_path / "a.raw"
         write_plane(a, np.zeros(25))
-        argv = ["psnr", "--original", str(a), "--decoded", str(a)]
-        if sidecar:
-            (tmp_path / "a.raw.hdr").write_text("width=-5\nheight=-5\n")
-        else:
-            argv += ["--width", "-5", "--height", "-5"]
-        assert main(argv) == 1
+        assert main(["psnr", "--original", str(a), "--decoded", str(a),
+                     "--width", "-5", "--height", "-5"]) == 1
         assert "error: width must be at least 1" in capsys.readouterr().err
 
 
@@ -800,6 +756,17 @@ class TestPlanValidate:
         path.write_text("designation,name,video_carrier_mhz\nS02,TVR1,112.25\nS02,X,119.25\n")
         assert main(["plan-validate", "--plan", str(path)]) == 1
         assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["plan-validate", "scan"])
+    def test_header_only_plan_is_exit_one(self, tmp_path, capsys, command):
+        # A plan that plan-validate passes is one that scan takes.
+        plan = tmp_path / "plan.csv"
+        plan.write_text("designation,name,video_carrier_mhz\n")
+        args = [command, "--plan", str(plan)]
+        if command == "scan":
+            args += ["--captures-dir", str(tmp_path)]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", "error: empty channel plan\n")
 
     def test_missing_plan_file_is_io_failure(self, tmp_path):
         assert main(["plan-validate", "--plan", str(tmp_path / "nope.csv")]) == 2

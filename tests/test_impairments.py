@@ -31,11 +31,15 @@ from impairments import (
     QUANTIZATION_FLOOR,
     SEEDS,
     TOLERANCE,
+    TONE_CODES,
+    TONE_HZ,
     black_clip,
     coloured_noise,
     data_line,
     field_hum,
+    free_tone,
     impulses,
+    locked_tone,
 )
 
 
@@ -98,11 +102,15 @@ def test_impairments_leave_their_input_and_repeat_by_seed():
     spiked, _, _ = impulses(clean, seed=SEEDS[0])
     spiked_again, _, _ = impulses(clean, seed=SEEDS[0])
     clipped, _ = black_clip(clean)
+    locked, _, _ = locked_tone(clean)
+    free, _ = free_tone(clean, seed=SEEDS[0])
+    free_again, _ = free_tone(clean, seed=SEEDS[0])
     np.testing.assert_array_equal(clean.samples, before)
     np.testing.assert_array_equal(first.samples, again.samples)
     np.testing.assert_array_equal(data.samples, data_again.samples)
     np.testing.assert_array_equal(spiked.samples, spiked_again.samples)
-    for impaired in (first, hum, data, spiked, clipped):
+    np.testing.assert_array_equal(free.samples, free_again.samples)
+    for impaired in (first, hum, data, spiked, clipped, locked, free):
         assert impaired.header == clean.header
         assert impaired.samples.dtype == clean.samples.dtype
 
@@ -205,3 +213,63 @@ def test_clipping_reads_below_the_band(seed):
     impaired, _ = black_clip(base)
     unclipped = BASE_SIGMA**2 + QUANTIZATION_FLOOR
     assert raw_variance(impaired) < unclipped * (1 - TOLERANCE)
+
+
+def tone_offsets(impaired, base) -> np.ndarray:
+    # The whole codes a tone added to the pooled windows, one row per line.
+    start, end = default_window(864)
+    lines = list(base.header.vbi_line_indices)
+    added = impaired.samples.astype(np.int64) - base.samples
+    return added[:, lines, start:end].reshape(-1, end - start)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_locked_tone_reads_its_truth_plus_the_floor(seed):
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
+    impaired, _, power = locked_tone(base)
+    expected = BASE_SIGMA**2 + power + QUANTIZATION_FLOOR
+    assert raw_variance(impaired) == pytest.approx(expected, rel=TOLERANCE)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_free_tone_reads_its_truth_plus_the_floor(seed):
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
+    impaired, power = free_tone(base, seed=seed)
+    expected = BASE_SIGMA**2 + power + QUANTIZATION_FLOOR
+    assert raw_variance(impaired) == pytest.approx(expected, rel=TOLERANCE)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_locked_tone_repeats_its_pattern_on_every_line(seed):
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
+    impaired, pattern, power = locked_tone(base)
+    rows = tone_offsets(impaired, base)
+    np.testing.assert_array_equal(rows, np.broadcast_to(pattern, rows.shape))
+    assert power == np.var(pattern)
+    # A sine of TONE_CODES rounded to whole codes: about TONE_CODES^2 / 2,
+    # plus the rounding's 1/12.
+    assert np.abs(pattern).max() == TONE_CODES
+    assert power == pytest.approx(TONE_CODES**2 / 2 + QUANTIZATION_FLOOR, rel=0.05)
+    # One cycle every 13.5 samples at 13.5 MHz.
+    spectrum = np.abs(np.fft.rfft(pattern - pattern.mean()))
+    assert np.argmax(spectrum) == round(TONE_HZ / 13.5e6 * pattern.size)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_free_tone_leaves_no_pattern(seed):
+    # The same tone, but each line at its own phase: the per-position mean
+    # over the 60 lines keeps about 1/60 of the power, not all of it.
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
+    impaired, power = free_tone(base, seed=seed)
+    _, _, locked_power = locked_tone(base)
+    rows = tone_offsets(impaired, base)
+    assert power == pytest.approx(np.var(rows), rel=1e-12)
+    assert power == pytest.approx(locked_power, rel=0.05)
+    assert np.var(rows.mean(axis=0)) < power / 20
+    assert np.abs(rows).max() == TONE_CODES
+
+
+def test_a_tone_that_would_clip_is_refused():
+    for tone in (locked_tone, free_tone):
+        with pytest.raises(ValueError, match="clipped"):
+            tone(synthesize(SynthConfig(black_level=TONE_CODES - 1.0)))

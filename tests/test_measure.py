@@ -637,7 +637,8 @@ class TestPsnr:
 
     def test_one_label_per_channel(self):
         with pytest.raises(InvalidInputError, match="2 labels supplied for 3 channels"):
-            psnr(np.zeros((4, 4, 3)), np.zeros((4, 4, 3)), channel_labels=["Y", "U"])
+            psnr(np.zeros((4, 4, 3), dtype=np.uint8), np.zeros((4, 4, 3), dtype=np.uint8),
+                 channel_labels=["Y", "U"])
 
     def test_per_channel_breakdown(self):
         a = np.zeros((4, 4, 3), dtype=np.int32)
@@ -651,6 +652,39 @@ class TestPsnr:
         assert values["ch0"] == 100.0  # per-channel saturation
         assert values["ch1"] == pytest.approx(10 * math.log10(255**2 / 9.0), rel=1e-12)
         assert result.mse == pytest.approx(9.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bad,fault",
+        [
+            (np.full((2, 2), 256), "sample values exceed the 8-bit code range"),
+            (np.full((2, 2), -1), "sample values exceed the 8-bit code range"),
+            (np.zeros((2, 2)), "samples must be integer ADC codes"),
+            (np.array([[0.0, np.nan], [0.0, 0.0]]), "samples must be integer ADC codes"),
+        ],
+        ids=["above-top", "negative", "float", "nan"],
+    )
+    @pytest.mark.parametrize("name", ["original", "decoded"])
+    def test_each_plane_is_admitted_by_name(self, bad, fault, name):
+        good = np.zeros(bad.shape, dtype=np.uint8)
+        planes = {"original": good, "decoded": good, name: bad}
+        with pytest.raises(InvalidInputError, match=f"^{name}: {fault}$"):
+            psnr(**planes, bits_per_pixel=8)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(0, 0), (4, 0), (0, 4, 3)])
+    def test_empty_planes_rejected(self, shape):
+        # Equal shapes, so the first plane is the one named.
+        empty = np.zeros(shape, dtype=np.uint8)
+        with pytest.raises(InvalidInputError, match="^original: the pixel plane is empty$"):
+            psnr(empty, empty)
+
+    @pytest.mark.parametrize("bits", [1, 10, 16])
+    def test_the_top_code_of_each_width_is_admitted(self, bits):
+        top = np.full((2, 2), (1 << bits) - 1)
+        assert psnr(top, np.zeros((2, 2), dtype=np.int64), bits_per_pixel=bits).psnr_db == 0.0
+        with pytest.raises(InvalidInputError, match=f"^original: .*{bits}-bit code range$"):
+            psnr(top + 1, top, bits_per_pixel=bits)
 
     def test_bits_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):

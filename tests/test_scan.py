@@ -55,6 +55,15 @@ class TestParsePlan:
         with pytest.raises(InvalidInputError, match="duplicate channel designation 'S02'"):
             parse_plan(text)
 
+    def test_a_bad_line_after_a_duplicate_is_reported(self):
+        # The plan's designations are checked once its lines are read.
+        text = (
+            "designation,name,video_carrier_mhz\n"
+            "S02,TVR1,112.25\nS02,Other,119.25\nS03,TVR2,oops\n"
+        )
+        with pytest.raises(InvalidInputError, match="^plan line 4: bad frequency 'oops'$"):
+            parse_plan(text)
+
     def test_malformed_row_names_line(self):
         text = "designation,name,video_carrier_mhz\nS02,TVR1,112.25\nbroken row\n"
         with pytest.raises(InvalidInputError, match="line 3"):
@@ -76,7 +85,7 @@ class TestParsePlan:
         with pytest.raises(InvalidInputError, match="line 2: .* may not contain / or"):
             parse_plan(text)
 
-    @pytest.mark.parametrize("text", ["", "\n\n"])
+    @pytest.mark.parametrize("text", ["", "\n\n", "designation,name,video_carrier_mhz\n"])
     def test_empty_plan_rejected(self, text):
         with pytest.raises(InvalidInputError, match="^empty channel plan$"):
             parse_plan(text)
@@ -89,6 +98,26 @@ class TestParsePlan:
     def test_header_required(self):
         with pytest.raises(InvalidInputError, match="header"):
             parse_plan("S02,TVR1,112.25\n")
+
+
+class TestChannelPlan:
+    ENTRY = ChannelEntry("S02", "TVR1", 112.25)
+
+    def test_entries_are_held_as_a_tuple(self):
+        other = ChannelEntry("S03", "TVR2", 119.25)
+        plan = ChannelPlan(entries=[self.ENTRY, other])
+        assert plan.entries == (self.ENTRY, other)
+        assert len(plan) == 2 and plan.get("S03") is other
+
+    def test_duplicate_designation_rejected(self):
+        twin = ChannelEntry("S02", "Other", 119.25)
+        with pytest.raises(InvalidInputError, match="^duplicate channel designation 'S02'$"):
+            ChannelPlan(entries=(self.ENTRY, twin))
+
+    @pytest.mark.parametrize("entry", ["S02", ("S02", "TVR1", 112.25), None])
+    def test_entry_must_be_a_channel_entry(self, entry):
+        with pytest.raises(InvalidInputError, match="a plan entry must be a ChannelEntry"):
+            ChannelPlan(entries=(self.ENTRY, entry))
 
 
 @pytest.fixture(scope="module")
