@@ -12,11 +12,11 @@ A measurement's lines are a :class:`LineBlock`: the rows
 ``extract_vbi_lines`` gathers from a capture, or :class:`LineRecord`
 objects, one per line, that share one window length, stacked by
 :meth:`LineBlock.stack`. The block's windows are read in place, a fixed
-number of rows at a time. Raw statistics are their exact integer moments,
-so one division and one square root are the only roundings. Filtered
-statistics filter each window less the reference level, row by row, and
-combine per-line sums of squares with ``math.fsum``. Either way, pooling frames in any
-order, or reading them in blocks of any size, yields bit-identical
+number of rows at a time. Raw statistics are exact integer moments of each block widened
+once to int64, so one division and one square root are the only roundings. Filtered
+statistics filter each window less the reference level, row by row, and combine per-line
+sums of squares, one dot product each, with ``math.fsum``. Either way, pooling frames in
+any order, or reading them in blocks of any size, yields bit-identical
 measurements. A record is admitted once: its constructor checks outside
 input, and what the package builds from admitted values is not checked again.
 """
@@ -434,7 +434,13 @@ def accumulate(
     codes = lines.samples[:, slice(*lines.window)]
     n = codes.size
     blocks = _row_blocks(codes)
-    total = sum(int(block.sum(dtype=np.int64)) for block in blocks)
+    # sum(x) and, raw, sum(x^2) as exact ints, from each block widened once to int64.
+    total = squares = 0
+    for block in blocks:
+        block = block.astype(np.int64, copy=False)
+        total += int(block.sum())
+        if config.filter is None:
+            squares += int(np.vdot(block, block))
     v_ref = total / n
 
     if config.filter is not None:
@@ -447,24 +453,16 @@ def accumulate(
         n = len(codes) * (codes.shape[1] - len(taps) + 1)
         sums = []
         for block in blocks:
-            # The window less its reference level: one with no variation
-            # filters to exact zeros.
+            # Less its reference level, a window with no variation filters to exact zeros.
             y = dsp.apply_filter(block - v_ref, taps)
-            np.square(y, out=y)
-            sums += y.sum(axis=-1).tolist()
+            sums += np.vecdot(y, y).tolist()  # one dot product per line, of that line alone
             del y  # before the next block is filtered
-        # Each line's sum depends only on that line, and fsum over them gives
-        # the same bits in any line order.
+        # fsum over the per-line sums gives the same bits in any line order.
         # Filtering narrows the noise bandwidth; dividing by the filter's white
         # noise gain refers the in-band RMS back to an equivalent full-band
         # level, keeping filtered and unfiltered readings comparable.
         v_n = math.sqrt(math.fsum(sums) / (n - 1)) / dsp._noise_gain(taps.tobytes())
     else:
-        # n*sum(x^2) - sum(x)^2 is exact in Python ints.
-        squares = 0
-        for block in blocks:
-            block = block.astype(np.int64, copy=False)
-            squares += int(np.vdot(block, block))
         v_n = math.sqrt((n * squares - total * total) / (n * (n - 1)))
     return _built(Measurement, v_ref=v_ref, v_n=v_n, snr_db=snr_db(v_n, lines.bit_depth),
                   error_margin=error_margin(v_n, n), n_samples=n,

@@ -125,6 +125,8 @@ class ScanReport:
             raise InvalidInputError(f"timestamp must be a string, got {self.timestamp!r}")
         if self.config.filter is None and any(r.status == STATUS_MEASURED for r in self.rows):
             raise InvalidInputError("a report with measured rows needs the snr2 filter")
+        if self.rows:  # its channels form a plan: each designation once
+            ChannelPlan(tuple(row.channel for row in self.rows))
 
 
 def parse_plan(text: str) -> ChannelPlan:

@@ -2,13 +2,14 @@
 
 ``synthesize`` makes white noise and sinusoids only. Each function here
 takes a synthesized capture and returns a new :class:`CaptureFile` with the
-impairment applied, plus its truth. For noise, hum, a data line, impulses
-and tones that is the variance in code units squared that the impairment
-adds to the raw pooled samples, the windows of the listed VBI lines that
-``accumulate`` reads; a data line also names its line, impulses give their
-positions in those windows, a line-locked tone gives the pattern it repeats
-on every window, and clipping counts the window samples that clip. The
-input capture is left as it is.
+impairment applied, plus its truth. For noise, hum, a data line, impulses,
+tones and a burst tail that is the variance in code units squared that the
+impairment adds to the raw pooled samples, the windows of the listed VBI
+lines that ``accumulate`` reads; a data line also names its line, impulses
+give their positions in those windows, a line-locked tone gives the pattern
+it repeats on every window, a burst tail gives the window positions it
+covers, and clipping counts the window samples that clip. The input capture
+is left as it is.
 
 Every level, seed and tolerance band is fixed here, before any measurement
 reads an impaired capture. Raw ``accumulate`` should read each added
@@ -76,6 +77,21 @@ IMPULSE_CODES = 30
 TONE_HZ = 1.0e6
 TONE_CODES = 3.0
 TONE_PHASE = 0.0
+
+# A colour burst whose last BURST_TAIL_SAMPLES lie inside the default window.
+# On a line that begins at the sync leading edge, the PAL burst (5.6 us in,
+# 10 cycles; ITU-R BT.470) ends near sample 106 at 13.5 MHz, 2 past the
+# window start of 104; a capture that starts 0.3 us before the edge moves the
+# tail to 6. The burst is BURST_SAMPLES long, 10 cycles of the subcarrier, at
+# BURST_LEVEL of the nominal video amplitude: 150 mV of 700 mV, half the
+# 300 mV peak-to-peak burst, 47 codes at 8 bits. It starts every line at
+# BURST_PHASE, 135 degrees, so it is a pattern at the same window positions
+# on every line.
+BURST_HZ = 4.43361875e6
+BURST_SAMPLES = 30
+BURST_TAIL_SAMPLES = 6
+BURST_LEVEL = 150.0 / 700.0
+BURST_PHASE = 0.75 * np.pi
 
 # Clipping: black pushed down by CLIP_CODES, from 60 to 3 at 8 bits, so the
 # noise of BASE_SIGMA reaches below code 0.
@@ -178,17 +194,22 @@ def impulses(capture: CaptureFile, seed: int = 0) -> tuple[CaptureFile, np.ndarr
     return CaptureFile(header, shifted), positions, float(np.var(pooled))
 
 
+def _added(capture: CaptureFile, wave: np.ndarray, what: str) -> tuple[CaptureFile, np.ndarray]:
+    # The capture with ``wave`` added (broadcast over frames and lines),
+    # re-quantized by the generator's rule, and the whole-code offsets it
+    # added. A ``what`` that would clip is refused.
+    out = np.empty(capture.samples.shape, dtype=capture.samples.dtype)
+    if _quantize(capture.samples + wave, (1 << capture.header.bit_depth) - 1, out):
+        raise ValueError(f"the {what} clipped; its truth would not hold")
+    return CaptureFile(capture.header, out), out.astype(np.int64) - capture.samples
+
+
 def _tone(capture: CaptureFile, phases: np.ndarray) -> tuple[CaptureFile, np.ndarray]:
-    # The capture with a TONE_HZ sine of TONE_CODES added to every line at
-    # its phase in ``phases`` (broadcast over frames and lines), re-quantized
-    # by the generator's rule, and the whole-code offsets it added.
+    # A TONE_HZ sine of TONE_CODES on every line at its phase in ``phases``.
     header = capture.header
     n = np.arange(header.samples_per_line)
     tone = TONE_CODES * np.sin(2.0 * np.pi * TONE_HZ / header.sample_rate_hz * n + phases)
-    out = np.empty(capture.samples.shape, dtype=capture.samples.dtype)
-    if _quantize(capture.samples + tone, (1 << header.bit_depth) - 1, out):
-        raise ValueError("the tone clipped; its truth would not hold")
-    return CaptureFile(header, out), out.astype(np.int64) - capture.samples
+    return _added(capture, tone, "tone")
 
 
 def locked_tone(capture: CaptureFile) -> tuple[CaptureFile, np.ndarray, float]:
@@ -217,6 +238,28 @@ def free_tone(capture: CaptureFile, seed: int = 0) -> tuple[CaptureFile, float]:
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(header.frames, header.lines_per_frame, 1))
     impaired, offsets = _tone(capture, phases)
     return impaired, float(np.var(_pooled(capture, offsets)))
+
+
+def burst_tail(capture: CaptureFile) -> tuple[CaptureFile, np.ndarray, float]:
+    """Add a colour burst that ends ``BURST_TAIL_SAMPLES`` past the window start.
+
+    Every line gets the same ``BURST_SAMPLES`` of a ``BURST_HZ`` sine of
+    ``BURST_LEVEL`` of the nominal video amplitude, from ``BURST_PHASE`` at
+    its first sample; the rest of the line is untouched. Truth: the window
+    positions the burst covers, ``0 .. BURST_TAIL_SAMPLES - 1`` counted from
+    the default window's start, and the variance of its whole-code offsets
+    over the pooled windows.
+    """
+    header = capture.header
+    end = default_window(header.samples_per_line)[0] + BURST_TAIL_SAMPLES
+    n = np.arange(BURST_SAMPLES)
+    wave = np.zeros(header.samples_per_line)
+    wave[end - BURST_SAMPLES : end] = BURST_LEVEL * _full_scale(header.bit_depth) * np.sin(
+        2.0 * np.pi * BURST_HZ / header.sample_rate_hz * n + BURST_PHASE
+    )
+    impaired, offsets = _added(capture, wave, "burst")
+    positions = np.arange(BURST_TAIL_SAMPLES)
+    return impaired, positions, float(np.var(_pooled(capture, offsets)))
 
 
 def black_clip(capture: CaptureFile) -> tuple[CaptureFile, int]:

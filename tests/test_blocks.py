@@ -116,7 +116,8 @@ def test_quantize_edges_follow_the_scalar_rule(max_code):
 # _BLOCK_SAMPLES, the one block size of synthesize, which walks 864-sample
 # lines, and of accumulate, which reads their 743-sample default windows:
 # less than one row (so one row), seven windows (six whole lines), and more
-# rows than any capture here.
+# rows than any capture here. For the 1762-sample windows of 2048-sample
+# lines the same sizes read one row, two rows and all rows.
 BLOCK_SIZES = {
     "under-one-row": 1,
     "seven-rows": 7 * 743,
@@ -137,6 +138,15 @@ def test_no_bit_depends_on_the_block_size(monkeypatch, block_samples):
                     bit_depth=8 if scale == 1 else 10,
                     interferers=((SOUND_CARRIER_HZ, 10.0 * scale, 0.0),) if carrier else ())
         for seed in range(10) for scale in (1, 4) for carrier in (False, True)
+    ]
+    # 2048 samples at 35.46895 MHz, 8x the PAL subcarrier: 259 taps, 1504-sample
+    # filtered rows, a second dot product length.
+    configs += [
+        SynthConfig(black_level=60.0 * scale, noise_sigma=SIGMA * scale, seed=seed,
+                    bit_depth=8 if scale == 1 else 10, samples_per_line=2048,
+                    sample_rate_hz=35.46895e6,
+                    interferers=((SOUND_CARRIER_HZ, 10.0 * scale, 0.0),) if carrier else ())
+        for seed in range(2) for scale in (1, 4) for carrier in (False, True)
     ]
     configs.append(SynthConfig(noise_sigma=0.0))  # constant codes: v_n reads 0
     expected = [_results(config) for config in configs]

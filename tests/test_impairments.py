@@ -19,6 +19,10 @@ from vbisnr.synth import _quantize
 
 from impairments import (
     BASE_SIGMA,
+    BURST_HZ,
+    BURST_LEVEL,
+    BURST_SAMPLES,
+    BURST_TAIL_SAMPLES,
     CLIP_CODES,
     COLOURED_LAG1,
     COLOURED_SIGMA,
@@ -34,6 +38,7 @@ from impairments import (
     TONE_CODES,
     TONE_HZ,
     black_clip,
+    burst_tail,
     coloured_noise,
     data_line,
     field_hum,
@@ -105,12 +110,13 @@ def test_impairments_leave_their_input_and_repeat_by_seed():
     locked, _, _ = locked_tone(clean)
     free, _ = free_tone(clean, seed=SEEDS[0])
     free_again, _ = free_tone(clean, seed=SEEDS[0])
+    burst, _, _ = burst_tail(clean)
     np.testing.assert_array_equal(clean.samples, before)
     np.testing.assert_array_equal(first.samples, again.samples)
     np.testing.assert_array_equal(data.samples, data_again.samples)
     np.testing.assert_array_equal(spiked.samples, spiked_again.samples)
     np.testing.assert_array_equal(free.samples, free_again.samples)
-    for impaired in (first, hum, data, spiked, clipped, locked, free):
+    for impaired in (first, hum, data, spiked, clipped, locked, free, burst):
         assert impaired.header == clean.header
         assert impaired.samples.dtype == clean.samples.dtype
 
@@ -215,8 +221,8 @@ def test_clipping_reads_below_the_band(seed):
     assert raw_variance(impaired) < unclipped * (1 - TOLERANCE)
 
 
-def tone_offsets(impaired, base) -> np.ndarray:
-    # The whole codes a tone added to the pooled windows, one row per line.
+def window_offsets(impaired, base) -> np.ndarray:
+    # The whole codes an impairment added to the pooled windows, one row per line.
     start, end = default_window(864)
     lines = list(base.header.vbi_line_indices)
     added = impaired.samples.astype(np.int64) - base.samples
@@ -243,7 +249,7 @@ def test_free_tone_reads_its_truth_plus_the_floor(seed):
 def test_locked_tone_repeats_its_pattern_on_every_line(seed):
     base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
     impaired, pattern, power = locked_tone(base)
-    rows = tone_offsets(impaired, base)
+    rows = window_offsets(impaired, base)
     np.testing.assert_array_equal(rows, np.broadcast_to(pattern, rows.shape))
     assert power == np.var(pattern)
     # A sine of TONE_CODES rounded to whole codes: about TONE_CODES^2 / 2,
@@ -262,7 +268,7 @@ def test_free_tone_leaves_no_pattern(seed):
     base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
     impaired, power = free_tone(base, seed=seed)
     _, _, locked_power = locked_tone(base)
-    rows = tone_offsets(impaired, base)
+    rows = window_offsets(impaired, base)
     assert power == pytest.approx(np.var(rows), rel=1e-12)
     assert power == pytest.approx(locked_power, rel=0.05)
     assert np.var(rows.mean(axis=0)) < power / 20
@@ -273,3 +279,36 @@ def test_a_tone_that_would_clip_is_refused():
     for tone in (locked_tone, free_tone):
         with pytest.raises(ValueError, match="clipped"):
             tone(synthesize(SynthConfig(black_level=TONE_CODES - 1.0)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_burst_tail_reads_its_truth_plus_the_floor(seed):
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
+    impaired, _, power = burst_tail(base)
+    expected = BASE_SIGMA**2 + power + QUANTIZATION_FLOOR
+    assert raw_variance(impaired) == pytest.approx(expected, rel=TOLERANCE)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_burst_tail_covers_its_window_positions(seed):
+    base = synthesize(SynthConfig(noise_sigma=BASE_SIGMA, seed=seed))
+    impaired, positions, power = burst_tail(base)
+    # Ten subcarrier cycles at 13.5 MHz, of 47 codes at 8 bits.
+    assert BURST_SAMPLES == round(10 * 13.5e6 / BURST_HZ)
+    added = impaired.samples.astype(np.int64) - base.samples
+    np.testing.assert_array_equal(added, np.broadcast_to(added[0, 0], added.shape))
+    assert np.abs(added).max() == round(BURST_LEVEL * 219)
+    # The burst ends BURST_TAIL_SAMPLES past the window start, and inside
+    # the window moves the codes at exactly the positions it names.
+    start, end = default_window(864)
+    line = added[0, 0]
+    assert not line[: start + BURST_TAIL_SAMPLES - BURST_SAMPLES].any()
+    assert not line[start + BURST_TAIL_SAMPLES :].any()
+    np.testing.assert_array_equal(positions, np.flatnonzero(line[start:end]))
+    rows = window_offsets(impaired, base)
+    assert power == pytest.approx(np.var(rows), rel=1e-12)
+
+
+def test_a_burst_that_would_clip_is_refused():
+    with pytest.raises(ValueError, match="burst clipped"):
+        burst_tail(synthesize(SynthConfig(black_level=40.0)))

@@ -477,7 +477,7 @@ class TestAccumulate:
             )
             filtered = [apply_filter(line.window_samples() - v_ref, taps) for line in lines]
             n = sum(y.size for y in filtered)
-            ss = math.fsum(float(np.sum(np.square(y))) for y in filtered)
+            ss = math.fsum(float(np.vecdot(y, y)) for y in filtered)
             assert m.v_ref == v_ref, windows
             assert m.n_samples == n == sum(e - s - len(taps) + 1 for s, e in windows)
             assert m.v_n == math.sqrt(ss / (n - 1)) / noise_gain(taps), windows

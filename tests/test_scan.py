@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -414,6 +415,16 @@ class TestRender:
         assert good in PINNED_JSON
         with pytest.raises(InvalidInputError, match="not a valid scan report"):
             report_from_json(PINNED_JSON.replace(good, bad))
+
+    def test_a_report_names_each_channel_once(self):
+        # A one-channel report whose channels are listed twice.
+        report = hand_built_report()
+        payload = json.loads(render_report(report, "json"))
+        payload["channels"] *= 2
+        with pytest.raises(InvalidInputError, match="duplicate channel designation 'S02'"):
+            report_from_json(json.dumps(payload))
+        with pytest.raises(InvalidInputError, match="^duplicate channel designation 'S02'$"):
+            ScanReport(rows=report.rows * 2, config=report.config, timestamp=report.timestamp)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(InvalidInputError, match="unknown report format"):
