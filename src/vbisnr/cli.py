@@ -20,8 +20,9 @@ from collections.abc import Mapping
 from dataclasses import asdict
 from pathlib import Path
 
-# vbisnr makes no BLAS call, and numpy's OpenBLAS would start a worker
-# thread that spins on another core; a user's own setting still wins.
+# Filtered accumulate calls BLAS ddot only in slices too short to be threaded;
+# one thread stops numpy's OpenBLAS from starting a worker thread that spins
+# on another core. A user's own setting still wins.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -15,10 +15,11 @@ objects, one per line, that share one window length, stacked by
 number of rows at a time. Raw statistics are exact integer moments of each block widened
 once to int64, so one division and one square root are the only roundings. Filtered
 statistics filter each window less the reference level, row by row, and combine per-line
-sums of squares, one dot product each, with ``math.fsum``. Either way, pooling frames in
-any order, or reading them in blocks of any size, yields bit-identical
-measurements. A record is admitted once: its constructor checks outside
-input, and what the package builds from admitted values is not checked again.
+sums of squares, from dot products of at most ``_DOT_SAMPLES`` samples, with ``math.fsum``.
+Either way, pooling frames in any order, reading them in blocks of any size, or
+running BLAS on any number of threads yields bit-identical measurements. A record
+is admitted once: its constructor checks outside input, by one rule for a record
+and a block, and what the package builds from admitted values is not checked again.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ _LN10 = math.log(10.0)
 # 1.1-1.4 ms against ~0.4 ms warm (numpy 2.4, glibc defaults). Choosing the
 # block waits for a benchmark that times such fresh-process steps.
 _BLOCK_SAMPLES = 1 << 15
+
+# OpenBLAS splits a dot product of over 10,000 samples across its threads,
+# and so rounds it by the thread count; ``accumulate`` takes none longer
+# than this.
+_DOT_SAMPLES = 8192
 
 
 def _row_blocks(rows: np.ndarray) -> list[np.ndarray]:
@@ -118,12 +124,14 @@ def _line_format(bit_depth, sample_rate_hz) -> tuple[int, float]:
     return _bit_depth(bit_depth), _as_float(sample_rate_hz, "sample_rate_hz", 0, above=True)
 
 
-def _check_window(window, n_samples: int, line_frame) -> tuple[int, int]:
-    # ``window``, or the default one, as a (start, end) pair of at least 2
-    # samples within an ``n_samples``-long line. A misfit names the
-    # ``(line_index, frame_index)`` pair, when one is given.
-    if window is None:
-        window = default_window(n_samples)
+def _admit_lines(lines, arr: np.ndarray, first) -> None:
+    # Set the ADC format, the window and the codes of a record or block,
+    # ``lines``, whose samples are ``arr``. The window, or the default one, is
+    # a (start, end) pair of at least 2 samples within a line; a misfit names
+    # ``first``, the first line's ``(line_index, frame_index)`` pair, if any.
+    bit_depth, rate = _line_format(lines.bit_depth, lines.sample_rate_hz)
+    n_samples = arr.shape[-1]
+    window = default_window(n_samples) if lines.window is None else lines.window
     try:
         start, end = window
     except (TypeError, ValueError):
@@ -131,10 +139,11 @@ def _check_window(window, n_samples: int, line_frame) -> tuple[int, int]:
     start, end = _as_int(start, "window start"), _as_int(end, "window end")
     fits = 0 <= start < end <= n_samples
     if not fits or end - start < 2:
-        where = "line {} frame {}: ".format(*line_frame) if line_frame else ""
+        where = "line {} frame {}: ".format(*first) if first else ""
         fault = "is shorter than 2 samples" if fits else f"does not fit a {n_samples}-sample line"
         raise InvalidInputError(f"{where}window [{start}, {end}) {fault}")
-    return (start, end)
+    vars(lines).update(samples=_admit_codes(arr, bit_depth, arr.dtype), bit_depth=bit_depth,
+                       sample_rate_hz=rate, window=(start, end))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,14 +167,9 @@ class LineRecord:
         arr = np.asarray(self.samples)
         if arr.ndim != 1:
             raise InvalidInputError("samples must be one-dimensional")
-        bit_depth, rate = _line_format(self.bit_depth, self.sample_rate_hz)
         for key in ("line_index", "frame_index"):
             object.__setattr__(self, key, _as_int(getattr(self, key), key, 0))
-        window = _check_window(self.window, arr.size, (self.line_index, self.frame_index))
-        object.__setattr__(self, "samples", _admit_codes(arr, bit_depth, arr.dtype))
-        object.__setattr__(self, "bit_depth", bit_depth)
-        object.__setattr__(self, "sample_rate_hz", rate)
-        object.__setattr__(self, "window", window)
+        _admit_lines(self, arr, (self.line_index, self.frame_index))
 
     def window_samples(self) -> np.ndarray:
         start, end = self.window
@@ -197,18 +201,13 @@ class LineBlock(Sequence):
         arr = np.asarray(self.samples)
         if arr.ndim != 2:
             raise InvalidInputError("samples must be a (rows, samples_per_line) array")
-        bit_depth, rate = _line_format(self.bit_depth, self.sample_rate_hz)
         for key in ("frame_indices", "line_indices"):
             indices = tuple(_as_int(i, key, 0) for i in getattr(self, key))
             if len(indices) != len(arr):
                 raise InvalidInputError(f"{len(indices)} {key} for {len(arr)} rows")
             object.__setattr__(self, key, indices)
         first = (self.line_indices[0], self.frame_indices[0]) if len(arr) else None
-        window = _check_window(self.window, arr.shape[1], first)
-        object.__setattr__(self, "samples", _admit_codes(arr, bit_depth, arr.dtype))
-        object.__setattr__(self, "bit_depth", bit_depth)
-        object.__setattr__(self, "sample_rate_hz", rate)
-        object.__setattr__(self, "window", window)
+        _admit_lines(self, arr, first)
 
     @classmethod
     def stack(cls, records: Iterable[LineRecord]) -> "LineBlock":
@@ -256,7 +255,8 @@ class MeasureConfig:
     The other fields are fixed, and a report lists them. ``full_scale`` of
     ``None`` means the nominal video range for the line's bit depth: 219
     code units at 8 bits, doubling per extra bit. At most ``max_frames``
-    frames pool into one measurement, and zero noise reads ``snr_cap_db``.
+    frames pool into one measurement, and a window where no code varied
+    reads ``snr_cap_db``.
     """
 
     full_scale: None = field(default=None, init=False)
@@ -332,7 +332,7 @@ class Measurement:
     N - 1, so ``n_samples`` is at least 2, and ``frames_used`` at least 1.
     Two fields are worked out, not given: ``error_margin``, the statistical
     uncertainty of ``v_n`` (:func:`error_margin`), and ``saturated``, set
-    when zero noise forced the SNR cap.
+    when a ``v_n`` of zero, no code varied in the window, forced the SNR cap.
     """
 
     v_ref: float
@@ -382,7 +382,8 @@ def snr_db(v_n: float, bit_depth: int = 8) -> float:
     """SNR in dB for a noise RMS in ``bit_depth``-bit codes.
 
     ``20 * log10(full_scale / v_n)`` against the nominal video amplitude for
-    positive noise; zero noise returns the cap, ``MeasureConfig.snr_cap_db``.
+    positive noise; a ``v_n`` of zero, no code varied in the window, returns
+    the cap, ``MeasureConfig.snr_cap_db``.
     """
     v_n = _as_float(v_n, "noise RMS", 0)
     full_scale = _full_scale(bit_depth)
@@ -455,7 +456,12 @@ def accumulate(
         for block in blocks:
             # Less its reference level, a window with no variation filters to exact zeros.
             y = dsp.apply_filter(block - v_ref, taps)
-            sums += np.vecdot(y, y).tolist()  # one dot product per line, of that line alone
+            # Each line's energy, of that line alone, from its slices' dot
+            # products added in a fixed order.
+            energy = np.vecdot(y[:, :_DOT_SAMPLES], y[:, :_DOT_SAMPLES])
+            for i in range(_DOT_SAMPLES, y.shape[1], _DOT_SAMPLES):
+                energy += np.vecdot(y[:, i : i + _DOT_SAMPLES], y[:, i : i + _DOT_SAMPLES])
+            sums += energy.tolist()
             del y  # before the next block is filtered
         # fsum over the per-line sums gives the same bits in any line order.
         # Filtering narrows the noise bandwidth; dividing by the filter's white

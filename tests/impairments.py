@@ -13,14 +13,16 @@ is left as it is.
 
 Every level, seed and tolerance band is fixed here, before any measurement
 reads an impaired capture. Raw ``accumulate`` should read each added
-variance plus the quantization floor within ``TOLERANCE``.
+variance plus the quantization floor within ``TOLERANCE``, and filtered
+``accumulate`` the coloured noise's ``COLOURED_FILTERED`` within
+``FILTERED_TOLERANCE``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from vbisnr import CaptureFile, default_window
+from vbisnr import CaptureFile, FilterSpec, default_window, design_lowpass
 from vbisnr.measure import _full_scale
 from vbisnr.synth import _quantize
 
@@ -46,6 +48,23 @@ COLOURED_LAG1 = (
     COLOURED_SIGMA**2 * sum(a * b for a, b in zip(COLOURING_TAPS, COLOURING_TAPS[1:]))
     / (COLOURED_SIGMA**2 * sum(c * c for c in COLOURING_TAPS) + QUANTIZATION_FLOOR)
 )
+
+# Its filtered truth, the v_n^2 that filtered ``accumulate`` reads with the
+# default 2 MHz taps h at 13.5 MHz: the coloured noise and the white rounding
+# error through h, referred back by h's white-noise power gain,
+# (sigma^2 * sum((c * h)^2) + sum(h^2) / 12) / sum(h^2). 13.63 code^2, where
+# raw reads 6.08: the colouring puts the noise's power in the passband.
+_H = design_lowpass(FilterSpec(), 13.5e6)
+COLOURED_FILTERED = float(
+    COLOURED_SIGMA**2 * np.sum(np.convolve(COLOURING_TAPS, _H) ** 2) / np.sum(_H * _H)
+    + QUANTIZATION_FLOOR
+)
+
+# Relative band around COLOURED_FILTERED for a 30-frame, 2-line, 864-sample
+# capture: about four standard errors by Bartlett's formula, 4 * sqrt(2 *
+# sum(rho^2) / N), with rho the filtered noise's autocorrelation (sum of
+# rho^2 = 3.12 over N = 38700 filtered samples: 0.051).
+FILTERED_TOLERANCE = 0.05
 
 # Absolute band around COLOURED_LAG1 for the pooled lag-1 sample correlation
 # of a 30-frame, 2-line, 864-sample capture: about four standard errors by

@@ -1,10 +1,15 @@
 """Fixed row blocks: ``synthesize`` and ``accumulate`` give the bits of a
-whole-array pass, at any block size, in bounded working memory."""
+whole-array pass, at any block size and BLAS thread count, in bounded
+working memory."""
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,11 +153,42 @@ def test_no_bit_depends_on_the_block_size(monkeypatch, block_samples):
                     interferers=((SOUND_CARRIER_HZ, 10.0 * scale, 0.0),) if carrier else ())
         for seed in range(2) for scale in (1, 4) for carrier in (False, True)
     ]
+    # 12,000 samples at 13.5 MHz: 10,222-sample filtered rows, each taken in
+    # two dot products.
+    configs.append(SynthConfig(noise_sigma=SIGMA, seed=23, samples_per_line=12000))
     configs.append(SynthConfig(noise_sigma=0.0))  # constant codes: v_n reads 0
     expected = [_results(config) for config in configs]
     monkeypatch.setattr(vbisnr.measure, "_BLOCK_SAMPLES", block_samples)
     assert [_results(config) for config in configs] == expected
     assert expected[-1][1].v_n == expected[-1][2].v_n == 0.0
+
+
+# Filtered v_n of 40 captures of 12,000-sample lines, printed in hex by a
+# child process.
+THREAD_CHILD = """
+from vbisnr import FilterSpec, MeasureConfig, SynthConfig, accumulate, extract_vbi_lines, synthesize
+for seed in range(40):
+    capture = synthesize(SynthConfig(noise_sigma=2.19, seed=seed, samples_per_line=12000))
+    print(accumulate(extract_vbi_lines(capture), MeasureConfig(filter=FilterSpec())).v_n.hex())
+"""
+
+
+def _filtered_v_n(blas_threads: str) -> list[str]:
+    environ = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+               "PYTHONPATH": str(Path(vbisnr.measure.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", THREAD_CHILD], env=environ,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_no_bit_depends_on_the_blas_thread_count():
+    """Filtered rows of 10,222 samples read the same bits with one BLAS thread
+    as with two. OpenBLAS threads a dot product of over 10,000 samples, which
+    rounds otherwise; accumulate takes each row's energy in dot products of at
+    most 8192. On one core OpenBLAS runs one thread either way, so there this
+    test cannot fail."""
+    assert _filtered_v_n("1") == _filtered_v_n("2")
 
 
 def _traced_peak(fn, *args) -> tuple[int, object]:

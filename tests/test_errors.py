@@ -40,6 +40,7 @@ from vbisnr.scan import ScanReport, ScanRow
 
 ROW = np.full(64, 60, dtype=np.uint8)
 CAPTURE = synthesize(SynthConfig(frames=1, samples_per_line=64))
+BLOCK = extract_vbi_lines(CAPTURE)
 MEASUREMENT = Measurement(60.0, 2.0, 40.0, 44580, False, 30)
 REPORT = json.loads(render_report(
     ScanReport(
@@ -90,6 +91,8 @@ FLOAT_SITES = {
     "Measurement.snr_db": (_built_with("snr_db"), "snr_db", None, 40),
     "LineRecord.sample_rate_hz": (
         lambda v: LineRecord(ROW, sample_rate_hz=v), "sample_rate_hz", 0, 13.5e6),
+    "LineBlock.sample_rate_hz": (
+        lambda v: replace(BLOCK, sample_rate_hz=v), "sample_rate_hz", 0, 13.5e6),
     "CaptureHeader.sample_rate_hz": (
         lambda v: CaptureHeader(64, 2, 1, sample_rate_hz=v), "sample_rate_hz", 0, 13.5e6),
     "SynthConfig.sample_rate_hz": (
@@ -118,8 +121,9 @@ INT_SITES = {
         lambda v: LineRecord(ROW, frame_index=v), "frame_index", -1, 3),
     "LineRecord.window_start": (lambda v: LineRecord(ROW, window=(v, 60)), "window", -1, 8),
     "LineRecord.window_end": (lambda v: LineRecord(ROW, window=(8, v)), "window", -1, 60),
-    "LineBlock.window": (
-        lambda v: replace(extract_vbi_lines(CAPTURE), window=(v, 60)), "window", -1, 8),
+    "LineBlock.window": (lambda v: replace(BLOCK, window=(v, 60)), "window", -1, 8),
+    "LineRecord.bit_depth": (lambda v: LineRecord(ROW, bit_depth=v), "bit_depth", 7, 10),
+    "LineBlock.bit_depth": (lambda v: replace(BLOCK, bit_depth=v), "bit_depth", 7, 10),
     "SynthConfig.samples_per_line": (
         lambda v: SynthConfig(samples_per_line=v), "samples_per_line", 15, 64),
     "SynthConfig.lines_per_frame": (

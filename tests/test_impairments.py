@@ -1,4 +1,5 @@
-"""Raw accumulation reads the known truth of each impairment in tests/impairments.py."""
+"""Accumulation reads the known truth of each impairment in tests/impairments.py:
+raw for every impairment, and filtered for the coloured noise."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import pytest
 
 from vbisnr import (
     CaptureFile,
+    FilterSpec,
+    MeasureConfig,
     SynthConfig,
     accumulate,
     default_window,
@@ -24,10 +27,12 @@ from impairments import (
     BURST_SAMPLES,
     BURST_TAIL_SAMPLES,
     CLIP_CODES,
+    COLOURED_FILTERED,
     COLOURED_LAG1,
     COLOURED_SIGMA,
     COLOURING_TAPS,
     DATA_LEVEL,
+    FILTERED_TOLERANCE,
     HUM_CODES,
     IMPULSE_CODES,
     IMPULSE_RATE,
@@ -59,6 +64,16 @@ def test_coloured_noise_reads_its_truth_plus_the_floor(seed, bit_depth):
     impaired, truth = coloured_noise(clean, seed=seed)
     assert truth == COLOURED_SIGMA**2 * sum(h * h for h in COLOURING_TAPS)
     assert raw_variance(impaired) == pytest.approx(truth + QUANTIZATION_FLOOR, rel=TOLERANCE)
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_coloured_noise_reads_its_filtered_truth(seed, bit_depth):
+    impaired, _ = coloured_noise(synthesize(SynthConfig(bit_depth=bit_depth)), seed=seed)
+    assert COLOURED_FILTERED == pytest.approx(13.63, abs=5e-3)
+    filtered = accumulate(extract_vbi_lines(impaired), MeasureConfig(filter=FilterSpec()))
+    assert filtered.n_samples == 38700
+    assert filtered.v_n**2 == pytest.approx(COLOURED_FILTERED, rel=FILTERED_TOLERANCE)
 
 
 def pooled_lag1(capture) -> float:
