@@ -13,6 +13,7 @@ otherwise.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -45,6 +46,8 @@ _HEADER_FIELDS = {
     ),
     "channel_label": (str, str),
 }
+# The least value of an integer header field; the line format bounds bit_depth.
+_HEADER_LOW = {"samples_per_line": 16, "lines_per_frame": 1, "frames": 1}
 
 
 @dataclass(frozen=True)
@@ -70,13 +73,10 @@ class CaptureHeader:
     def __post_init__(self) -> None:
         for key, (parse, _) in _HEADER_FIELDS.items():
             if parse is int:
-                object.__setattr__(self, key, _as_int(getattr(self, key), key))
+                low = _HEADER_LOW.get(key, -math.inf)
+                object.__setattr__(self, key, _as_int(getattr(self, key), key, low))
         _, rate = _line_format(self.bit_depth, self.sample_rate_hz)
         object.__setattr__(self, "sample_rate_hz", rate)
-        if self.samples_per_line < 16:
-            raise InvalidInputError("samples_per_line must be at least 16")
-        if self.lines_per_frame < 1 or self.frames < 1:
-            raise InvalidInputError("lines_per_frame and frames must be positive")
         label = self.channel_label
         if not isinstance(label, str):
             raise InvalidInputError(f"channel_label must be a string, got {label!r}")
@@ -98,13 +98,10 @@ class CaptureHeader:
             if "\n" in key or "\n" in value or "=" in key:
                 raise InvalidInputError(f"extra metadata entry {key!r} is not encodable")
         object.__setattr__(self, "extra", extra)
-        idx = tuple(_as_int(i, "VBI line index") for i in self.vbi_line_indices)
+        last = self.lines_per_frame - 1
+        idx = tuple(_as_int(i, "VBI line index", 0, last) for i in self.vbi_line_indices)
         if len(set(idx)) != len(idx):
             raise InvalidInputError("vbi_line_indices contains duplicates")
-        if any(i < 0 or i >= self.lines_per_frame for i in idx):
-            raise InvalidInputError(
-                f"vbi_line_indices must lie in [0, {self.lines_per_frame})"
-            )
         object.__setattr__(self, "vbi_line_indices", idx)
 
     @property

@@ -188,16 +188,12 @@ def _cmd_synth(args) -> str:
 
 
 def _cmd_measure(args) -> str:
-    limit = MeasureConfig.max_frames
-    if args.frames > limit:
-        raise InvalidInputError(f"--frames may not exceed the {limit}-frame limit")
-    if args.frames < 1:
-        raise InvalidInputError("--frames must be positive")
+    frames = _as_int(args.frames, "--frames", 1, MeasureConfig.max_frames)
     # Built in either mode, so a bad --cutoff-hz is invalid input even when unused.
     filt = FilterSpec(cutoff_hz=args.cutoff_hz)
     config = MeasureConfig(filter=filt if args.filter == "on" else None)
     capture = read_capture(args.infile)
-    lines = extract_vbi_lines(capture, frame_range=args.frames)
+    lines = extract_vbi_lines(capture, frame_range=frames)
     result = accumulate(lines, config)
     # Codes at a rail stand for any level beyond it, so the spread reads low.
     window, top = lines.samples[:, slice(*lines.window)], (1 << lines.bit_depth) - 1
@@ -312,24 +308,14 @@ def _cmd_psnr(args) -> str:
 def _cmd_spectrum(args) -> str:
     capture = read_capture(args.infile)
     header = capture.header
-    if not 0 <= args.frame < header.frames:
-        raise InvalidInputError(
-            f"frame {args.frame} outside capture of {header.frames} frames"
-        )
-    if args.line is None:
-        if not header.vbi_line_indices:
-            raise InvalidInputError("capture lists no VBI lines; pass --line")
+    frame = _as_int(args.frame, "--frame", 0, header.frames - 1)
+    if args.line is not None:
+        line_idx = _as_int(args.line, "--line", 0, header.lines_per_frame - 1)
+    elif header.vbi_line_indices:
         line_idx = header.vbi_line_indices[0]
     else:
-        line_idx = args.line
-    if not 0 <= line_idx < header.lines_per_frame:
-        raise InvalidInputError(
-            f"line {line_idx} outside frame of {header.lines_per_frame} lines"
-        )
-
-    record = LineRecord(
-        capture.samples[args.frame, line_idx], header.bit_depth, header.sample_rate_hz
-    )
+        raise InvalidInputError("capture lists no VBI lines; pass --line")
+    record = LineRecord(capture.samples[frame, line_idx], header.bit_depth, header.sample_rate_hz)
     spectrum = line_spectrum(record)
     rows = ["frequency_hz,magnitude_db"]
     for f, db in zip(spectrum.frequencies_hz(), spectrum.magnitudes_db):

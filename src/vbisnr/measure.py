@@ -69,10 +69,7 @@ def _row_blocks(rows: np.ndarray) -> list[np.ndarray]:
 
 def _bit_depth(bit_depth) -> int:
     # The width of an ADC code: 8..10 bits.
-    bit_depth = _as_int(bit_depth, "bit_depth")
-    if not 8 <= bit_depth <= 10:
-        raise InvalidInputError(f"bit_depth must be 8..10, got {bit_depth}")
-    return bit_depth
+    return _as_int(bit_depth, "bit_depth", 8, 10)
 
 
 def _full_scale(bit_depth) -> float:
@@ -478,10 +475,7 @@ def accumulate(
 
 def _pixel_bits(bits) -> int:
     # The bits of a PSNR pixel code: 1..16.
-    bits = _as_int(bits, "bits_per_pixel")
-    if not 1 <= bits <= 16:
-        raise InvalidInputError(f"bits_per_pixel must be 1..16, got {bits}")
-    return bits
+    return _as_int(bits, "bits_per_pixel", 1, 16)
 
 
 def psnr(

@@ -49,17 +49,14 @@ class ChannelEntry:
             raise InvalidInputError("channel designation and name must be strings")
         if not self.designation:
             raise InvalidInputError("channel designation may not be empty")
-        # A channel's capture is <designation>.vbi inside the captures directory.
-        if "/" in self.designation or "\\" in self.designation:
+        # A channel's capture is <designation>.vbi inside the captures directory,
+        # and no file name holds a path separator or NUL.
+        if any(c in self.designation for c in "/\\\0"):
             raise InvalidInputError(
-                f"channel designation {self.designation!r} may not contain / or \\"
+                f"channel designation {self.designation!r} may not contain / or \\ or NUL"
             )
-        carrier = _as_float(self.video_carrier_mhz, "video_carrier_mhz")
-        if not 40.0 < carrier < 1000.0:
-            raise InvalidInputError(
-                f"channel {self.designation}: carrier {carrier} MHz "
-                "outside the supported (40, 1000) MHz range"
-            )
+        what = f"channel {self.designation}: video_carrier_mhz"
+        carrier = _as_float(self.video_carrier_mhz, what, 40, 1000, above=True)
         object.__setattr__(self, "video_carrier_mhz", carrier)
 
 
@@ -131,8 +128,10 @@ class ScanReport:
 
 def parse_plan(text: str) -> ChannelPlan:
     """Parse channel-plan CSV with header designation,name,video_carrier_mhz."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+    try:
+        rows = [(i + 1, row) for i, row in enumerate(csv.reader(io.StringIO(text))) if row]
+    except csv.Error as exc:  # a field over the csv module's limit, or NUL before 3.11
+        raise InvalidInputError(f"unreadable channel plan: {exc}") from None
     if not rows:
         raise InvalidInputError("empty channel plan")
     header = [cell.strip().lower() for cell in rows[0][1]]

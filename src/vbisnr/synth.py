@@ -55,12 +55,7 @@ class SynthConfig:
         for key in ("samples_per_line", "lines_per_frame", "frames", "bit_depth",
                     "sample_rate_hz"):
             object.__setattr__(self, key, getattr(header, key))
-        max_code = (1 << header.bit_depth) - 1
-        black_level = _as_float(self.black_level, "black_level")
-        if not 0 <= black_level <= max_code:
-            raise InvalidInputError(
-                f"black_level {self.black_level} outside the 0..{max_code} code range"
-            )
+        black_level = _as_float(self.black_level, "black_level", 0, (1 << header.bit_depth) - 1)
         object.__setattr__(self, "black_level", black_level)
         object.__setattr__(self, "noise_sigma", _as_float(self.noise_sigma, "noise_sigma", 0))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))

@@ -383,12 +383,22 @@ class TestExtract:
 
 
 def test_vbi_indices_validated():
-    with pytest.raises(InvalidInputError, match="vbi_line_indices"):
+    with pytest.raises(InvalidInputError, match=r"^VBI line index must be 0\.\.1, got 2$"):
         CaptureHeader(samples_per_line=64, lines_per_frame=2, frames=1,
                       vbi_line_indices=(0, 2))
     with pytest.raises(InvalidInputError, match="duplicates"):
         CaptureHeader(samples_per_line=64, lines_per_frame=2, frames=1,
                       vbi_line_indices=(0, 0))
+
+
+def test_header_names_its_first_bad_field():
+    # The integer fields are admitted with their ranges in file order, before
+    # the line format; each VBI index with its range, before the duplicate check.
+    with pytest.raises(InvalidInputError, match="^samples_per_line must be at least 16, got 8$"):
+        CaptureHeader(samples_per_line=8, lines_per_frame=2, frames=1, bit_depth=12)
+    with pytest.raises(InvalidInputError, match=r"^VBI line index must be 0\.\.1, got 5$"):
+        CaptureHeader(samples_per_line=64, lines_per_frame=2, frames=1,
+                      vbi_line_indices=(0, 0, 5))
 
 
 @pytest.mark.parametrize(

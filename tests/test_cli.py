@@ -200,8 +200,8 @@ class TestMeasure:
         assert "bad header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("frames,message", [
-        ("31", "--frames may not exceed the 30-frame limit"),
-        ("0", "--frames must be positive"),
+        ("31", "--frames must be 1..30, got 31"),
+        ("0", "--frames must be 1..30, got 0"),
     ], ids=["31", "0"])
     def test_frame_count_outside_one_to_thirty_is_exit_one(self, clean_file, capsys, frames,
                                                             message):
@@ -737,10 +737,17 @@ class TestSpectrum:
         assert main(["spectrum", "--in", str(clean_file), "--fft-size", "1024"]) == 1
         assert capsys.readouterr().err == "error: unrecognized arguments: --fft-size 1024\n"
 
-    def test_bad_indices_are_exit_one(self, clean_file, tmp_path):
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--frame", "99", "--frame must be 0..29, got 99"),
+        ("--frame", "-1", "--frame must be 0..29, got -1"),
+        ("--line", "9", "--line must be 0..1, got 9"),
+        ("--line", "-1", "--line must be 0..1, got -1"),
+    ], ids=["frame-99", "frame--1", "line-9", "line--1"])
+    def test_bad_indices_are_exit_one(self, clean_file, tmp_path, capsys, flag, value, message):
         out = tmp_path / "spectrum.csv"
-        assert main(["spectrum", "--in", str(clean_file), "--frame", "99", "--out", str(out)]) == 1
-        assert main(["spectrum", "--in", str(clean_file), "--line", "9"]) == 1
+        args = ["spectrum", "--in", str(clean_file), f"{flag}={value}", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
 
@@ -767,6 +774,13 @@ class TestPlanValidate:
             args += ["--captures-dir", str(tmp_path)]
         assert main(args) == 1
         assert capsys.readouterr() == ("", "error: empty channel plan\n")
+
+    def test_designation_with_nul_is_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "plan.csv"
+        path.write_text("designation,name,video_carrier_mhz\nS0\x002,TVR1,112.25\n")
+        assert main(["plan-validate", "--plan", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "NUL" in err
 
     def test_missing_plan_file_is_io_failure(self, tmp_path):
         assert main(["plan-validate", "--plan", str(tmp_path / "nope.csv")]) == 2

@@ -30,12 +30,14 @@ from vbisnr import (
     extract_vbi_lines,
     line_spectrum,
     noise_rms,
+    psnr,
     render_report,
     report_from_json,
     snr_db,
     synthesize,
     write_capture,
 )
+from vbisnr.cli import main
 from vbisnr.scan import ScanReport, ScanRow
 
 ROW = np.full(64, 60, dtype=np.uint8)
@@ -164,6 +166,82 @@ def test_non_number_or_out_of_range_names_the_field(call, field, value):
 @pytest.mark.parametrize("call,value", _accepted())
 def test_numpy_scalars_and_ints_are_numbers(call, value):
     call(value)
+
+
+PLANE = np.zeros((2, 2), dtype=np.uint8)
+
+# (call with the value, the field its message names, the last values the range
+# takes, the first it refuses). An integer range is held at both of its ends; a
+# float range at its bound where the end is open, and at the bound and the float
+# just past it where the end is closed.
+RANGES = {
+    "bit_depth": (lambda v: LineRecord(ROW, bit_depth=v), "bit_depth", (8, 10), (7, 11)),
+    "bits_per_pixel": (
+        lambda v: psnr(PLANE, PLANE, bits_per_pixel=v), "bits_per_pixel", (1, 16), (0, 17)),
+    "samples_per_line": (lambda v: CaptureHeader(v, 2, 1), "samples_per_line", (16,), (15,)),
+    "lines_per_frame": (lambda v: CaptureHeader(64, v, 1), "lines_per_frame", (1,), (0,)),
+    "frames": (lambda v: CaptureHeader(64, 2, v), "frames", (1,), (0,)),
+    "vbi_line_indices": (
+        lambda v: CaptureHeader(64, 2, 1, vbi_line_indices=(v,)), "(?i)vbi.line.ind",
+        (0, 1), (-1, 2)),
+    "black_level": (
+        lambda v: SynthConfig(black_level=v), "black_level",
+        (0.0, 255.0), (np.nextafter(0.0, -1.0), np.nextafter(255.0, 256.0))),
+    "black_level_10bit": (
+        lambda v: SynthConfig(bit_depth=10, black_level=v), "black_level",
+        (0.0, 1023.0), (np.nextafter(0.0, -1.0), np.nextafter(1023.0, 1024.0))),
+    "video_carrier_mhz": (
+        lambda v: ChannelEntry("S02", "TVR1", v), "carrier",
+        (np.nextafter(40.0, 41.0), np.nextafter(1000.0, 999.0)), (40.0, 1000.0)),
+}
+# The same for a flag checked against its limit or the capture: exit 1 and
+# one error line. The capture holds 2 frames of 2 lines.
+CLI_RANGES = {
+    "measure --frames": ("measure", "--frames", (1, 30), (0, 31)),
+    "spectrum --frame": ("spectrum", "--frame", (0, 1), (-1, 2)),
+    "spectrum --line": ("spectrum", "--line", (0, 1), (-1, 2)),
+}
+
+
+def _ends(sites, index):
+    for name, site in sites.items():
+        for value in site[index]:
+            yield pytest.param(name, value, id=f"{name}-{value!r}")
+
+
+@pytest.mark.parametrize("name,value", _ends(RANGES, 2))
+def test_range_ends_are_admitted(name, value):
+    RANGES[name][0](value)
+
+
+@pytest.mark.parametrize("name,value", _ends(RANGES, 3))
+def test_first_values_past_a_range_name_the_field(name, value):
+    call, field, _, _ = RANGES[name]
+    with pytest.raises(InvalidInputError, match=field):
+        call(value)
+
+
+@pytest.fixture(scope="module")
+def two_frames(tmp_path_factory):
+    path = tmp_path_factory.mktemp("capture") / "two.vbi"
+    write_capture(synthesize(SynthConfig(frames=2, samples_per_line=64, noise_sigma=2)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("name,value", _ends(CLI_RANGES, 2))
+def test_flag_range_ends_are_admitted(two_frames, capsys, name, value):
+    command, flag, _, _ = CLI_RANGES[name]
+    assert main([command, "--in", two_frames, f"{flag}={value}"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name,value", _ends(CLI_RANGES, 3))
+def test_flag_values_past_a_range_are_invalid_input(two_frames, capsys, name, value):
+    command, flag, _, _ = CLI_RANGES[name]
+    assert main([command, "--in", two_frames, f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag.lstrip("-") in err
 
 
 # A field a record works out from the others, or that has one legal value, is

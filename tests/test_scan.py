@@ -86,6 +86,19 @@ class TestParsePlan:
         with pytest.raises(InvalidInputError, match="line 2: .* may not contain / or"):
             parse_plan(text)
 
+    def test_designation_with_nul_rejected(self):
+        # No file name holds NUL, so <designation>.vbi could never be found.
+        with pytest.raises(InvalidInputError, match=r"'S0\\x002' may not contain .* NUL"):
+            ChannelEntry("S0\x002", "TVR1", 112.25)
+        text = "designation,name,video_carrier_mhz\nS0\x002,TVR1,112.25\n"
+        with pytest.raises(InvalidInputError, match="NUL"):
+            parse_plan(text)
+
+    def test_field_past_the_csv_limit_is_invalid_input(self):
+        text = "designation,name,video_carrier_mhz\nS02,TVR1," + "1" * 200_000 + "\n"
+        with pytest.raises(InvalidInputError, match="^unreadable channel plan: field larger"):
+            parse_plan(text)
+
     @pytest.mark.parametrize("text", ["", "\n\n", "designation,name,video_carrier_mhz\n"])
     def test_empty_plan_rejected(self, text):
         with pytest.raises(InvalidInputError, match="^empty channel plan$"):

@@ -151,7 +151,7 @@ def test_non_finite_sample_rate_rejected(rate):
         ({"lines_per_frame": True}, "lines_per_frame must be an integer"),
         ({"samples_per_line": 8}, "samples_per_line must be at least 16"),
         ({"bit_depth": 12}, "bit_depth must be 8..10"),
-        ({"frames": 0}, "frames must be positive"),
+        ({"frames": 0}, "frames must be at least 1, got 0"),
         ({"seed": 1.5}, "seed must be an integer"),
     ],
 )
@@ -161,9 +161,9 @@ def test_bad_settings_rejected_at_construction(setting, message):
 
 
 def test_black_level_outside_code_range_rejected():
-    with pytest.raises(InvalidInputError, match="code range"):
+    with pytest.raises(InvalidInputError, match=r"^black_level must be in \[0, 255\], got 300\.0$"):
         synthesize(SynthConfig(black_level=300.0))
-    with pytest.raises(InvalidInputError, match="code range"):
+    with pytest.raises(InvalidInputError, match=r"^black_level must be in \[0, 255\], got -1\.0$"):
         synthesize(SynthConfig(black_level=-1.0))
 
 
